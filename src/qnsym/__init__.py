@@ -1,5 +1,5 @@
 """Exact arithmetic in the dual Hopf algebras QSym and NSym, with the four
-Schur-like basis pairs built from tableau counts.
+Schur-like basis pairs: shin from tableau counts, the rest by involutions.
 
 Importing the package registers all bases; see ``core.bases()`` for the list.
 """

@@ -14,7 +14,6 @@ import json
 import re
 import sys
 
-from . import compositions as comps
 from . import core
 from . import schurlike as sl
 from . import tableaux as tab
@@ -498,3 +497,7 @@ def run(argv=None) -> int:
 
 def main() -> int:
     return run()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,6 @@ that fails to be exact raises instead of silently leaving the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -111,6 +110,22 @@ def exact_inverse(rows) -> tuple:
 
 # ---------------------------------------------------------------------------
 # elements
+
+def format_index(basis: str, comp) -> str:
+    return f"{basis}[{','.join(map(str, comp))}]"
+
+
+def signed_sum(terms) -> str:
+    """Render (body, nonzero int) pairs as "a - 2 b + c", or "0" if none."""
+    pieces = []
+    for body, coeff in terms:
+        word = body if abs(coeff) == 1 else f"{abs(coeff)} {body}"
+        if pieces:
+            pieces.append(f"+ {word}" if coeff > 0 else f"- {word}")
+        else:
+            pieces.append(word if coeff > 0 else f"-{word}")
+    return " ".join(pieces) or "0"
+
 
 def _term_sort_key(key):
     basis, comp = key
@@ -232,18 +247,7 @@ class Element:
         return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (basis, comp), coeff in self.sorted_terms():
-            body = f"{basis}[{','.join(map(str, comp))}]"
-            mag = abs(coeff)
-            word = body if mag == 1 else f"{mag} {body}"
-            if not pieces:
-                pieces.append(word if coeff > 0 else f"-{word}")
-            else:
-                pieces.append(f"+ {word}" if coeff > 0 else f"- {word}")
-        return " ".join(pieces)
+        return signed_sum((format_index(b, c), v) for (b, c), v in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -423,21 +427,10 @@ class TensorElement:
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for ((bl, cl), (br, cr)), coeff in self.sorted_terms():
-            body = (
-                f"{bl}[{','.join(map(str, cl))}]"
-                f" (x) {br}[{','.join(map(str, cr))}]"
-            )
-            mag = abs(coeff)
-            word = body if mag == 1 else f"{mag} {body}"
-            if not pieces:
-                pieces.append(word if coeff > 0 else f"-{word}")
-            else:
-                pieces.append(f"+ {word}" if coeff > 0 else f"- {word}")
-        return " ".join(pieces)
+        return signed_sum(
+            (f"{format_index(bl, cl)} (x) {format_index(br, cr)}", coeff)
+            for ((bl, cl), (br, cr)), coeff in self.sorted_terms()
+        )
 
     __repr__ = __str__
 
@@ -653,19 +646,12 @@ def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix
 # ---------------------------------------------------------------------------
 # the five classical bases
 
-def _expand_E(comp):
+def _signed_refinements(comp):
+    """E in H and H in E alike: sum of (-1)^(n - len) over refinements."""
     n = sum(comp)
     out = {}
     for beta in comps.refinements(comp):
         out[beta] = out.get(beta, 0) + (-1) ** (n - len(beta))
-    return out
-
-
-def _unexpand_E(comp):
-    n = sum(comp)
-    out = {}
-    for alpha in comps.refinements(comp):
-        out[alpha] = out.get(alpha, 0) + (-1) ** (n - len(alpha))
     return out
 
 
@@ -697,6 +683,6 @@ def _identity_expand(comp):
 
 register_basis("H", NSYM, _identity_expand, _identity_expand)
 register_basis("M", QSYM, _identity_expand, _identity_expand)
-register_basis("E", NSYM, _expand_E, _unexpand_E)
+register_basis("E", NSYM, _signed_refinements, _signed_refinements)
 register_basis("R", NSYM, _expand_R, _unexpand_R)
 register_basis("F", QSYM, _expand_F, _unexpand_F)

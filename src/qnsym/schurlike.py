@@ -1,16 +1,19 @@
 """The four Schur-like dual basis pairs and the constructions built on them.
 
-Each tableau family yields an NSym basis (sh, rsh, fsh, bsh) and a dual
-QSym basis (sh*, rsh*, fsh*, bsh*), registered from the family's own
-tableau counts: with C the canonical composition list of degree n and
-K[i][j] the number of family tableaux of shape C[i] and type C[j],
+Each tableau family names an NSym basis (sh, rsh, fsh, bsh) and a dual
+QSym basis (sh*, rsh*, fsh*, bsh*).  The shin pair comes from tableau
+counts: with C the canonical composition list of degree n and K[i][j] the
+number of shin tableaux of shape C[i] and type C[j],
 
-    H_{C[j]}  = sum_i K[i][j] X_{C[i]},      X*_{C[i]} = sum_j K[i][j] M_{C[j]},
+    H_{C[j]}  = sum_i K[i][j] sh_{C[i]},      sh*_{C[i]} = sum_j K[i][j] M_{C[j]},
 
-so X->H inverts K exactly over the integers.  On top of the bases live
-the Pieri rules, the beth creation operators, Jacobi-Trudi expansions,
-ribbon multiplication, skew and skew-II functions, structure coefficients,
-coproduct formulas, and the bridge to symmetric functions.
+so sh->H inverts K exactly over the integers.  The other pairs are its
+images psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a), omega(sh_a) = bsh_rev(a)
+(starred alike); their own tableau counts are the oracle of `verify
+tableaux`.  On top of the bases live the Pieri rules, the beth creation
+operators, Jacobi-Trudi expansions, ribbon multiplication, skew and skew-II
+functions, structure coefficients, coproduct formulas, and the bridge to
+symmetric functions.
 """
 
 from __future__ import annotations
@@ -48,11 +51,6 @@ def family_name(family: str) -> str:
 # basis registration
 
 @lru_cache(maxsize=None)
-def _positions(n: int) -> dict:
-    return {c: i for i, c in enumerate(comps.compositions(n))}
-
-
-@lru_cache(maxsize=None)
 def _kappa_inverse(family: str, n: int) -> tuple:
     try:
         return core.exact_inverse(tab.kappa_matrix(family, n))
@@ -60,46 +58,48 @@ def _kappa_inverse(family: str, n: int) -> tuple:
         raise ArithmeticError(f"{family} transition matrix at degree {n}: {exc}") from exc
 
 
-def _make_expanders(family: str):
-    def expand_nsym(comp):
+def _shin_reader(inverse: bool, column: bool):
+    """Row or column `comp` of the shin K matrix or of its inverse."""
+    def read(comp):
         n = sum(comp)
+        # tab.kappa_matrix is looked up per call so that it can be replaced
+        rows = _kappa_inverse("shin", n) if inverse else tab.kappa_matrix("shin", n)
         cs = comps.compositions(n)
-        i = _positions(n)[tuple(comp)]
-        kinv = _kappa_inverse(family, n)
-        return {cs[j]: kinv[j][i] for j in range(len(cs)) if kinv[j][i]}
+        k = cs.index(tuple(comp))
+        line = (row[k] for row in rows) if column else rows[k]
+        return {c: v for c, v in zip(cs, line) if v}
 
-    def unexpand_nsym(comp):
-        n = sum(comp)
-        cs = comps.compositions(n)
-        j = _positions(n)[tuple(comp)]
-        kappa = tab.kappa_matrix(family, n)
-        return {cs[i]: kappa[i][j] for i in range(len(cs)) if kappa[i][j]}
+    return read
 
-    def expand_qsym(comp):
-        n = sum(comp)
-        cs = comps.compositions(n)
-        i = _positions(n)[tuple(comp)]
-        kappa = tab.kappa_matrix(family, n)
-        return {cs[j]: kappa[i][j] for j in range(len(cs)) if kappa[i][j]}
 
-    def unexpand_qsym(comp):
-        n = sum(comp)
-        cs = comps.compositions(n)
-        j = _positions(n)[tuple(comp)]
-        kinv = _kappa_inverse(family, n)
-        return {cs[i]: kinv[j][i] for i in range(len(cs)) if kinv[j][i]}
+def _transported(name: str, shin_token: str):
+    """Expand/unexpand maps of X, the partner of shin_token under `name`:
+    X_a = name(shin_token[fix(a)]), fix reversing a for rho and omega."""
+    canonical = core.CANONICAL[core.algebra_of(shin_token)]
+    fix = tuple if name == "psi" else comps.reverse
 
-    return expand_nsym, unexpand_nsym, expand_qsym, unexpand_qsym
+    def expand(comp):
+        image = core.involution(name, term(shin_token, fix(comp)), basis=canonical)
+        return image.canonical_dict()
+
+    def unexpand(comp):
+        image = core.involution(name, term(canonical, comp), basis=shin_token)
+        return {fix(c): v for (_, c), v in image.terms.items()}
+
+    return expand, unexpand
 
 
 def register_bases() -> None:
-    """Install the eight Schur-like bases into the conversion registry."""
+    """Install the eight Schur-like bases into the conversion registry:
+    sh and sh* from the shin tableau counts, the other six by transport."""
     if "sh" in core.bases():
         return
-    for family in tab.FAMILIES:
-        en, un, eq, uq = _make_expanders(family)
-        core.register_basis(NSYM_TOKEN[family], NSYM, en, un)
-        core.register_basis(QSYM_TOKEN[family], QSYM, eq, uq)
+    core.register_basis("sh", NSYM, _shin_reader(True, True), _shin_reader(False, True))
+    core.register_basis("sh*", QSYM, _shin_reader(False, False), _shin_reader(True, False))
+    for name in ("psi", "rho", "omega"):
+        for shin_token, algebra in (("sh", NSYM), ("sh*", QSYM)):
+            core.register_basis(core._PARTNER[name][shin_token], algebra,
+                                *_transported(name, shin_token))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +428,6 @@ class SymElement:
             ("h", "s"): _h_to_s,
             ("h", "m"): lambda c: _s_to_m(_h_to_s(c)),
             ("m", "s"): _m_to_s,
-            ("s", "h"): None,
-            ("m", "h"): None,
         }.get((self.basis, target))
         if route is None:
             raise ValueError(f"no conversion from {self.basis} to {target}")
@@ -447,17 +445,9 @@ class SymElement:
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for lam, c in self.sorted_terms():
-            body = f"{self.basis}[{','.join(map(str, lam))}]"
-            word = body if abs(c) == 1 else f"{abs(c)} {body}"
-            if not pieces:
-                pieces.append(word if c > 0 else f"-{word}")
-            else:
-                pieces.append(f"+ {word}" if c > 0 else f"- {word}")
-        return " ".join(pieces)
+        return core.signed_sum(
+            (core.format_index(self.basis, lam), c) for lam, c in self.sorted_terms()
+        )
 
     __repr__ = __str__
 

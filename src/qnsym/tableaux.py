@@ -301,11 +301,6 @@ def reading_order(t: Tableau) -> list:
     return order
 
 
-def reading_word(t: Tableau) -> tuple:
-    rem = t.shape.removed
-    return tuple(t.rows[r][c - rem[r]] for r, c in reading_order(t))
-
-
 def standardize(t: Tableau) -> Tableau:
     """Relabel entries 1..n by value, ties broken by the reading order."""
     order = reading_order(t)
@@ -343,15 +338,6 @@ def flip(t: Tableau) -> Tableau:
 def count_K(family: str, alpha, beta) -> int:
     """Number of family tableaux of straight shape alpha and weight beta."""
     return count_tableaux(straight(alpha), family, beta)
-
-
-def count_L(family: str, alpha, beta) -> int:
-    """Number of standard family tableaux of shape alpha with descent composition beta."""
-    beta = tuple(beta)
-    return sum(
-        1 for t in enumerate_standard(straight(alpha), family)
-        if descent_composition(t) == beta
-    )
 
 
 @lru_cache(maxsize=None)

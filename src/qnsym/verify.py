@@ -268,6 +268,22 @@ def check_tableaux(max_degree, rng):
                 is_rhook = all(p == 1 for p in alpha[:-1])
                 if (term("sh*", alpha).convert("F") == term("F", alpha)) != is_rhook:
                     failures.append(f"reverse-hook characterization fails at {list(alpha)}")
+    # the other families' counts do not build their bases: each must equal
+    # the shin matrix carried over by psi, rho or omega, read both ways
+    for family in tab.FAMILIES[1:]:
+        ntok, qtok = sl.NSYM_TOKEN[family], sl.QSYM_TOKEN[family]
+        for n in range(max_degree + 1):
+            cs, kappa = comps.compositions(n), tab.kappa_matrix(family, n)
+            h_rows = core.transition_matrix("H", ntok, n).rows
+            for label, moved in ((f"H -> {ntok}", tuple(zip(*h_rows))),
+                                 (f"{qtok} -> M", core.transition_matrix(qtok, "M", n).rows)):
+                cases += 1
+                wrong = [(i, j) for i, row in enumerate(kappa) for j, v in enumerate(row)
+                         if v != moved[i][j]]
+                if wrong:
+                    i, j = wrong[0]
+                    failures.append(f"{family} K[{list(cs[i])}][{list(cs[j])}] = {kappa[i][j]} "
+                                    f"but transport ({label}) gives {moved[i][j]}, degree {n}")
     # chains in the strip poset count standard skew tableaux
     for n in range(1, max_degree + 1):
         for alpha in comps.compositions(n):

@@ -195,3 +195,20 @@ def test_verify_timing_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "cases" in captured.out and "s" in captured.err
     assert "0." in captured.err and "0." not in captured.out
+
+
+def test_module_entry_point_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "qnsym.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = module("expand", "--basis", "H", "sh[3,2]")
+    assert (done.returncode, done.stdout) == (0, "H[3,2] - H[4,1]\n")
+    assert module("expand", "--basis", "nope", "sh[3,2]").returncode == 2

@@ -480,3 +480,65 @@ def test_h_and_r_expand_by_tableau_counts():
                 for i, alpha in enumerate(cs):
                     assert h.coefficient(ntok, alpha) == kappa[i][j]
                     assert r.coefficient(ntok, alpha) == ell[i][j]
+
+
+# --- one source of truth: shin plus transport -------------------------------------
+
+def _clear_conversion_caches():
+    for cached in (sl._kappa_inverse, core._expand, core._unexpand, core.transition_matrix):
+        cached.cache_clear()
+
+
+def test_schurlike_bases_need_only_the_shin_tableau_counts(monkeypatch):
+    true_kappa = tab.kappa_matrix
+
+    def shin_only(family, n):
+        if family != "shin":
+            raise AssertionError(f"{family} tableau counts read while building a basis")
+        return true_kappa(family, n)
+
+    monkeypatch.setattr(tab, "kappa_matrix", shin_only)
+    _clear_conversion_caches()
+    try:
+        for ntok, qtok in zip(sl.NSYM_TOKEN.values(), sl.QSYM_TOKEN.values()):
+            for n in range(7):
+                for tok, canonical in ((ntok, "H"), (qtok, "M")):
+                    forth = core.transition_matrix(tok, canonical, n).rows
+                    back = core.transition_matrix(canonical, tok, n).rows
+                    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*back)]
+                               for row in forth]
+                    assert product == [[int(i == j) for j in range(len(forth))]
+                                       for i in range(len(forth))], (tok, n)
+    finally:
+        monkeypatch.undo()
+        _clear_conversion_caches()
+
+
+def test_tableau_suite_reports_a_wrong_row_strict_count(monkeypatch):
+    from qnsym import verify
+
+    true_kappa = tab.kappa_matrix
+
+    def off_by_one(family, n):
+        rows = true_kappa(family, n)
+        if (family, n) != ("row_strict", 3):
+            return rows
+        return (rows[0][:-1] + (rows[0][-1] + 1,),) + rows[1:]
+
+    monkeypatch.setattr(tab, "kappa_matrix", off_by_one)
+    failures = verify.verify("tableaux", max_degree=3).failures
+    assert failures
+    assert all(f.startswith("row_strict K[[1, 1, 1]][[3]] = 2 ") for f in failures), failures
+    assert {"H -> rsh" in f for f in failures} == {True, False}
+
+
+def test_to_qsym_writes_each_rearrangement_once():
+    assert sl.SymElement("m", {(1,) * 10: 1}).to_qsym().terms == {("M", (1,) * 10): 1}
+    x = sl.SymElement("m", {(2, 1, 1): 3}).to_qsym()
+    assert x.terms == {("M", a): 3 for a in ((1, 1, 2), (1, 2, 1), (2, 1, 1))}
+
+
+def test_schur_detect_needs_every_rearrangement():
+    assert sl.schur_detect(term("M", (2, 1))) is None
+    assert sl.schur_detect(term("M", (2, 1)) + term("M", (1, 2))) == sl.SymElement(
+        "m", {(2, 1): 1})
