@@ -21,14 +21,6 @@ def check_composition(alpha) -> tuple:
     return alpha
 
 
-def size(alpha) -> int:
-    return sum(alpha)
-
-
-def length(alpha) -> int:
-    return len(alpha)
-
-
 @lru_cache(maxsize=None)
 def compositions(n: int) -> tuple:
     """All compositions of n in canonical (lexicographic) order.

@@ -1,11 +1,17 @@
 """Elements of NSym and QSym with exact integer coefficients.
 
-Every element is stored as a sparse dictionary mapping (basis token,
-composition) to an integer.  H (complete homogeneous) and M (monomial) are
-the canonical bases of NSym and QSym; every other basis registers a pair
-of expansion maps to and from the canonical one, and all structural
-operations (products, coproducts, the pairing, involutions, the antipode)
-are computed canonically and converted back.
+Every element is an immutable integer combination: one private base class,
+`_Combination`, holds {key: nonzero int} tagged with its space and defines
+the vector-space arithmetic, equality, sorting and formatting once for
+`Element` (keys (basis token, composition)), `TensorElement` (pairs of
+those) and `schurlike.SymElement` (partitions).  Its public constructor
+validates every key; library code builds from checked keys unchecked.
+
+H (complete homogeneous) and M (monomial) are the canonical bases of NSym
+and QSym; every other basis registers a pair of expansion maps to and from
+the canonical one, and all structural operations (products, coproducts,
+the pairing, involutions, the antipode) are computed canonically and
+converted back.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and any division
@@ -16,6 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import compositions as comps
@@ -132,70 +140,74 @@ def _term_sort_key(key):
     return (sum(comp), comp, _TOKEN_ORDER.index(basis))
 
 
-class Element:
-    """A finite integer combination of basis elements of NSym or QSym."""
+class _Combination:
+    """A finite integer combination {key: nonzero int} tagged with its space.
 
-    __slots__ = ("algebra", "terms")
+    Subclasses say what differs: `_SPACE` (the JSON name of the space),
+    `_check_space`, `_check_key`, `_sort_key`, `_label`, `_json_key`,
+    `_canonical` (what equality compares) and `_product`.  The public
+    constructor checks every key and coefficient; library code builds from
+    keys it has already checked through `_of`.  Instances are immutable:
+    `terms` is a read-only view.
+    """
 
-    def __init__(self, algebra: str, terms=None):
-        if algebra not in (NSYM, QSYM):
-            raise ValueError(f"unknown algebra {algebra!r}")
-        self.algebra = algebra
-        self.terms = {}
-        for (basis, comp), coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
+    __slots__ = ("_space", "_terms")
+
+    def __init__(self, space, terms=None):
+        self._check_space(space)
+        checked = {}
+        for key, coeff in (terms or {}).items():
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an integer")
+            key = self._check_key(space, key)
             if coeff:
-                check_basis(basis, algebra)
-                self.terms[(basis, tuple(comp))] = coeff
+                checked[key] = coeff
+        self._space = space
+        self._terms = checked
 
-    # -- construction helpers
+    @classmethod
+    def _of(cls, space, terms):
+        """Build from checked keys without re-checking; zeros are dropped."""
+        new = object.__new__(cls)
+        new._space = space
+        new._terms = {k: c for k, c in terms.items() if c}
+        return new
 
-    def copy(self) -> "Element":
-        return Element(self.algebra, dict(self.terms))
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> tuple:
-        return tuple(sorted({sum(c) for _, c in self.terms}))
-
-    def coefficient(self, basis: str, comp) -> int:
-        return self.terms.get((basis, tuple(comp)), 0)
-
-    def support_basis(self):
-        """The single basis token all terms use, or None if mixed/empty."""
-        seen = {b for b, _ in self.terms}
-        return seen.pop() if len(seen) == 1 else None
-
-    # -- ring structure
+        return not self._terms
 
     def __add__(self, other):
-        if not isinstance(other, Element):
+        if type(other) is not type(self):
             return NotImplemented
-        if other.algebra != self.algebra:
-            raise ValueError("cannot add NSym and QSym elements")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
+        if other._space != self._space:
+            raise ValueError(f"cannot add {self._space} and {other._space} elements")
+        terms = dict(self._terms)
+        for k, c in other._terms.items():
             terms[k] = terms.get(k, 0) + c
-        return Element(self.algebra, terms)
+        return self._of(self._space, terms)
 
     def __radd__(self, other):
-        if other == 0:  # so the builtin sum() works
-            return self.copy()
+        if isinstance(other, int) and other == 0:  # so the builtin sum() works
+            return self
         return NotImplemented
 
     def __neg__(self):
-        return Element(self.algebra, {k: -c for k, c in self.terms.items()})
+        return self._of(self._space, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Element(self.algebra, {k: c * other for k, c in self.terms.items()})
-        if isinstance(other, Element):
-            return multiply(self, other)
+            return self._of(self._space, {k: c * other for k, c in self._terms.items()})
+        if type(other) is type(self):
+            return self._product(other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -204,21 +216,81 @@ class Element:
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, Element):
+        if type(other) is not type(self):
             return NotImplemented
-        if self.algebra != other.algebra:
-            return False
-        return self.canonical_dict() == other.canonical_dict()
+        return self._canonical() == other._canonical()
 
     __hash__ = None
+
+    def sorted_terms(self) -> list:
+        return sorted(self._terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def __str__(self):
+        return signed_sum((self._label(k), c) for k, c in self.sorted_terms())
+
+    __repr__ = __str__
+
+    def to_json_dict(self) -> dict:
+        return {
+            self._SPACE: self._space,
+            "terms": [{**self._json_key(k), "coeff": str(c)} for k, c in self.sorted_terms()],
+        }
+
+
+def _check_algebra(algebra):
+    if algebra not in (NSYM, QSYM):
+        raise ValueError(f"unknown algebra {algebra!r}")
+
+
+def _check_index(algebra, key):
+    basis, comp = key
+    return (check_basis(basis, algebra), comps.check_composition(comp))
+
+
+def _index_json(key):
+    basis, comp = key
+    return {"basis": basis, "index": list(comp)}
+
+
+class Element(_Combination):
+    """A finite integer combination of basis elements of NSym or QSym,
+    keyed by (basis token, composition)."""
+
+    __slots__ = ()
+    _SPACE = "algebra"
+    algebra = property(attrgetter("_space"))
+    _check_space = staticmethod(_check_algebra)
+    _check_key = staticmethod(_check_index)
+    _sort_key = staticmethod(_term_sort_key)
+    _json_key = staticmethod(_index_json)
+
+    def _label(self, key):
+        return format_index(*key)
+
+    def _canonical(self):
+        return self._space, self.canonical_dict()
+
+    def _product(self, other):
+        return multiply(self, other)
+
+    def degrees(self) -> tuple:
+        return tuple(sorted({sum(c) for _, c in self._terms}))
+
+    def coefficient(self, basis: str, comp) -> int:
+        return self._terms.get((basis, tuple(comp)), 0)
+
+    def support_basis(self):
+        """The single basis token all terms use, or None if mixed/empty."""
+        seen = {b for b, _ in self._terms}
+        return seen.pop() if len(seen) == 1 else None
 
     # -- basis changes
 
     def canonical_dict(self) -> dict:
         """Coefficients in the canonical basis, as {composition: int}."""
-        target = CANONICAL[self.algebra]
+        target = CANONICAL[self._space]
         out = {}
-        for (basis, comp), coeff in self.terms.items():
+        for (basis, comp), coeff in self._terms.items():
             if basis == target:
                 out[comp] = out.get(comp, 0) + coeff
             else:
@@ -227,11 +299,11 @@ class Element:
         return {c: v for c, v in out.items() if v}
 
     def convert(self, target: str) -> "Element":
-        check_basis(target, self.algebra)
-        canonical = CANONICAL[self.algebra]
+        check_basis(target, self._space)
+        canonical = CANONICAL[self._space]
         if target == canonical:
-            return Element(
-                self.algebra,
+            return Element._of(
+                self._space,
                 {(canonical, c): v for c, v in self.canonical_dict().items()},
             )
         terms = {}
@@ -239,26 +311,7 @@ class Element:
             for c2, v in _unexpand(target, comp):
                 k = (target, c2)
                 terms[k] = terms.get(k, 0) + coeff * v
-        return Element(self.algebra, terms)
-
-    # -- presentation
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
-
-    def __str__(self):
-        return signed_sum((format_index(b, c), v) for (b, c), v in self.sorted_terms())
-
-    __repr__ = __str__
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "terms": [
-                {"basis": b, "index": list(c), "coeff": str(v)}
-                for (b, c), v in self.sorted_terms()
-            ],
-        }
+        return Element._of(self._space, terms)
 
 
 def element_from_json(data: dict) -> Element:
@@ -270,8 +323,7 @@ def element_from_json(data: dict) -> Element:
 
 
 def term(basis: str, comp, coeff: int = 1) -> Element:
-    comp = comps.check_composition(comp)
-    return Element(algebra_of(basis), {(basis, comp): coeff})
+    return Element(algebra_of(basis), {(basis, tuple(comp)): coeff})
 
 
 def zero(algebra: str) -> Element:
@@ -280,10 +332,6 @@ def zero(algebra: str) -> Element:
 
 def one(algebra: str) -> Element:
     return Element(algebra, {(CANONICAL[algebra], ()): 1})
-
-
-def convert(x: Element, target: str) -> Element:
-    return x.convert(target)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +373,7 @@ def multiply(x: Element, y: Element, basis=None) -> Element:
             for g, v in _canonical_product(algebra, a, b):
                 out[g] = out.get(g, 0) + ca * cb * v
     canonical = CANONICAL[algebra]
-    result = Element(algebra, {(canonical, c): v for c, v in out.items()})
+    result = Element._of(algebra, {(canonical, c): v for c, v in out.items()})
     target = basis or x.support_basis() or canonical
     return result.convert(target)
 
@@ -333,119 +381,75 @@ def multiply(x: Element, y: Element, basis=None) -> Element:
 # ---------------------------------------------------------------------------
 # coproducts and tensors
 
-class TensorElement:
-    """An integer combination of two-fold tensors over one algebra."""
+def _check_tensor_key(algebra, key):
+    left, right = key
+    return (_check_index(algebra, left), _check_index(algebra, right))
 
-    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: str, terms=None):
-        if algebra not in (NSYM, QSYM):
-            raise ValueError(f"unknown algebra {algebra!r}")
-        self.algebra = algebra
-        self.terms = {}
-        for ((bl, cl), (br, cr)), coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficient {coeff!r} is not an integer")
-            if coeff:
-                check_basis(bl, algebra)
-                check_basis(br, algebra)
-                self.terms[((bl, tuple(cl)), (br, tuple(cr)))] = coeff
+def _tensor_sort_key(key):
+    return (_term_sort_key(key[0]), _term_sort_key(key[1]))
 
-    def __add__(self, other):
-        if not isinstance(other, TensorElement) or other.algebra != self.algebra:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return TensorElement(self.algebra, terms)
 
-    def __radd__(self, other):
-        if other == 0:
-            return TensorElement(self.algebra, dict(self.terms))
-        return NotImplemented
+class TensorElement(_Combination):
+    """An integer combination of two-fold tensors over one algebra, keyed
+    by ((basis, composition), (basis, composition))."""
 
-    def __neg__(self):
-        return TensorElement(self.algebra, {k: -c for k, c in self.terms.items()})
+    __slots__ = ()
+    _SPACE = "algebra"
+    algebra = property(attrgetter("_space"))
+    _check_space = staticmethod(_check_algebra)
+    _check_key = staticmethod(_check_tensor_key)
+    _sort_key = staticmethod(_tensor_sort_key)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _label(self, key):
+        return f"{format_index(*key[0])} (x) {format_index(*key[1])}"
 
-    def __mul__(self, other):
+    @staticmethod
+    def _json_key(key):
+        return {"left": _index_json(key[0]), "right": _index_json(key[1])}
+
+    def _canonical(self):
+        return self._space, self.canonical_dict()
+
+    def _product(self, other):
         """Componentwise product: (a (x) b)(c (x) d) = ac (x) bd."""
-        if not isinstance(other, TensorElement) or other.algebra != self.algebra:
-            return NotImplemented
+        if other._space != self._space:
+            raise ValueError(f"cannot multiply {self._space} and {other._space} tensors")
         out = {}
         left = self.canonical_dict()
         right = other.canonical_dict()
         for (a1, a2), c1 in left.items():
             for (b1, b2), c2 in right.items():
-                for g1, v1 in _canonical_product(self.algebra, a1, b1):
-                    for g2, v2 in _canonical_product(self.algebra, a2, b2):
+                for g1, v1 in _canonical_product(self._space, a1, b1):
+                    for g2, v2 in _canonical_product(self._space, a2, b2):
                         k = (g1, g2)
                         out[k] = out.get(k, 0) + c1 * c2 * v1 * v2
-        canonical = CANONICAL[self.algebra]
-        return TensorElement(
-            self.algebra,
+        canonical = CANONICAL[self._space]
+        return TensorElement._of(
+            self._space,
             {((canonical, g1), (canonical, g2)): v for (g1, g2), v in out.items()},
         )
 
     def canonical_dict(self) -> dict:
         """Coefficients with both legs canonical: {(compL, compR): int}."""
         out = {}
-        for ((bl, cl), (br, cr)), coeff in self.terms.items():
-            for c1, v1 in _leg_expand(self.algebra, bl, cl):
-                for c2, v2 in _leg_expand(self.algebra, br, cr):
+        for ((bl, cl), (br, cr)), coeff in self._terms.items():
+            for c1, v1 in _leg_expand(self._space, bl, cl):
+                for c2, v2 in _leg_expand(self._space, br, cr):
                     k = (c1, c2)
                     out[k] = out.get(k, 0) + coeff * v1 * v2
         return {k: v for k, v in out.items() if v}
 
     def convert(self, left_basis: str, right_basis: str) -> "TensorElement":
-        check_basis(left_basis, self.algebra)
-        check_basis(right_basis, self.algebra)
+        check_basis(left_basis, self._space)
+        check_basis(right_basis, self._space)
         terms = {}
         for (c1, c2), coeff in self.canonical_dict().items():
-            for d1, v1 in _leg_unexpand(self.algebra, left_basis, c1):
-                for d2, v2 in _leg_unexpand(self.algebra, right_basis, c2):
+            for d1, v1 in _leg_unexpand(self._space, left_basis, c1):
+                for d2, v2 in _leg_unexpand(self._space, right_basis, c2):
                     k = ((left_basis, d1), (right_basis, d2))
                     terms[k] = terms.get(k, 0) + coeff * v1 * v2
-        return TensorElement(self.algebra, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.canonical_dict() == other.canonical_dict()
-        )
-
-    __hash__ = None
-
-    def sorted_terms(self) -> list:
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (_term_sort_key(kv[0][0]), _term_sort_key(kv[0][1])),
-        )
-
-    def __str__(self):
-        return signed_sum(
-            (f"{format_index(bl, cl)} (x) {format_index(br, cr)}", coeff)
-            for ((bl, cl), (br, cr)), coeff in self.sorted_terms()
-        )
-
-    __repr__ = __str__
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "terms": [
-                {
-                    "left": {"basis": bl, "index": list(cl)},
-                    "right": {"basis": br, "index": list(cr)},
-                    "coeff": str(v),
-                }
-                for ((bl, cl), (br, cr)), v in self.sorted_terms()
-            ],
-        }
+        return TensorElement._of(self._space, terms)
 
 
 def _leg_expand(algebra, basis, comp):
@@ -499,11 +503,11 @@ def coproduct(x: Element) -> TensorElement:
         for (l, r), v in splits:
             k = ((canonical, l), (canonical, r))
             out[k] = out.get(k, 0) + coeff * v
-    return TensorElement(algebra, out)
+    return TensorElement._of(algebra, out)
 
 
 def counit(x: Element) -> int:
-    return sum(c for (b, comp), c in x.terms.items() if not comp)
+    return sum(c for (b, comp), c in x._terms.items() if not comp)
 
 
 # ---------------------------------------------------------------------------
@@ -529,36 +533,35 @@ def pair_tensor(tx: TensorElement, ty: TensorElement) -> int:
     return sum(c * yc.get(k, 0) for k, c in xc.items())
 
 
-def perp(h: Element, f: Element) -> Element:
-    """The operator on QSym adjoint to left multiplication by h.
-
-    In canonical terms: peel the H-indices of h off the *front* of the
-    M-indices of f.
-    """
+def _peel(h: Element, f: Element, front: bool, what: str) -> Element:
+    """Peel the H-indices of h off the front (or the back) of the M-indices
+    of f, in canonical terms."""
     if h.algebra != NSYM or f.algebra != QSYM:
-        raise ValueError("perp() takes an NSym element then a QSym element")
+        raise ValueError(f"{what}() takes an NSym element then a QSym element")
+    fc = f.canonical_dict()
     out = {}
     for beta, hc in h.canonical_dict().items():
         k = len(beta)
-        for delta, fc in f.canonical_dict().items():
-            if delta[:k] == beta:
-                key = ("M", delta[k:])
-                out[key] = out.get(key, 0) + hc * fc
-    return Element(QSYM, out)
+        for delta, c in fc.items():
+            if len(delta) < k:
+                continue
+            cut = k if front else len(delta) - k
+            peeled, rest = (delta[:cut], delta[cut:]) if front else (delta[cut:], delta[:cut])
+            if peeled == beta:
+                key = ("M", rest)
+                out[key] = out.get(key, 0) + hc * c
+    return Element._of(QSYM, out)
+
+
+def perp(h: Element, f: Element) -> Element:
+    """The operator on QSym adjoint to left multiplication by h: peel the
+    H-indices of h off the *front* of the M-indices of f."""
+    return _peel(h, f, True, "perp")
 
 
 def rperp(h: Element, f: Element) -> Element:
     """Adjoint to right multiplication by h: peel H-indices off the back."""
-    if h.algebra != NSYM or f.algebra != QSYM:
-        raise ValueError("rperp() takes an NSym element then a QSym element")
-    out = {}
-    for beta, hc in h.canonical_dict().items():
-        k = len(beta)
-        for delta, fc in f.canonical_dict().items():
-            if k <= len(delta) and delta[len(delta) - k :] == beta:
-                key = ("M", delta[: len(delta) - k])
-                out[key] = out.get(key, 0) + hc * fc
-    return Element(QSYM, out)
+    return _peel(h, f, False, "rperp")
 
 
 # ---------------------------------------------------------------------------
@@ -584,36 +587,32 @@ _PARTNER = {
 }
 
 
+def _on_carrier(x: Element, name: str, signed: bool, basis: str) -> Element:
+    """Reindex x on its ribbon/fundamental carrier by the involution `name`,
+    with the sign (-1)^degree if `signed`, and convert the image to `basis`."""
+    carrier = _CARRIER[x.algebra]
+    index_map = _INDEX_MAP[name]
+    mapped = {
+        (carrier, index_map(comp)): -coeff if signed and sum(comp) % 2 else coeff
+        for (_, comp), coeff in x.convert(carrier)._terms.items()
+    }
+    return Element._of(x.algebra, mapped).convert(basis)
+
+
 def involution(name: str, x: Element, basis=None) -> Element:
     """Apply psi, rho, or omega; the result is converted to `basis` if given,
     else to the natural partner of x's basis (or the canonical basis)."""
     if name not in _INDEX_MAP:
         raise ValueError(f"unknown involution {name!r}")
-    carrier = _CARRIER[x.algebra]
-    index_map = _INDEX_MAP[name]
-    mapped = {}
-    for (_, comp), coeff in x.convert(carrier).terms.items():
-        k = (carrier, index_map(comp))
-        mapped[k] = mapped.get(k, 0) + coeff
-    result = Element(x.algebra, mapped)
     if basis is None:
         support = x.support_basis()
         basis = _PARTNER[name].get(support, support) or CANONICAL[x.algebra]
-    return result.convert(basis)
+    return _on_carrier(x, name, False, basis)
 
 
 def antipode(x: Element, basis=None) -> Element:
-    """The Hopf antipode, acting on the ribbon/fundamental carrier by
-    transposing the index and attaching the sign (-1)^degree."""
-    carrier = _CARRIER[x.algebra]
-    mapped = {}
-    for (_, comp), coeff in x.convert(carrier).terms.items():
-        sign = -1 if sum(comp) % 2 else 1
-        k = (carrier, comps.transpose(comp))
-        mapped[k] = mapped.get(k, 0) + sign * coeff
-    result = Element(x.algebra, mapped)
-    target = basis or x.support_basis() or CANONICAL[x.algebra]
-    return result.convert(target)
+    """The Hopf antipode: (-1)^degree times omega on the carrier."""
+    return _on_carrier(x, "omega", True, basis or x.support_basis() or CANONICAL[x.algebra])
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +636,7 @@ def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix
     for a in cs:
         x = term(source, a).convert(target)
         row = [0] * len(cs)
-        for (_, c), v in x.terms.items():
+        for (_, c), v in x._terms.items():
             row[where[c]] = v
         rows.append(tuple(row))
     return TransitionMatrix(source, target, degree, cs, tuple(rows))

@@ -19,9 +19,9 @@ symmetric functions.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import compositions as comps
@@ -149,7 +149,7 @@ def beth(m: int, x: Element) -> Element:
         else:
             add((m,) + comp, c)
             add((comp[0], m) + comp[1:], -c)
-    return Element(NSYM, out)
+    return Element._of(NSYM, out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def _pieri_elimination(alpha: tuple) -> tuple:
 def pieri_elimination(alpha) -> Element:
     """Oracle route for sh_alpha in H, built only from strip extensions."""
     alpha = comps.check_composition(alpha)
-    return Element(NSYM, {("H", c): v for c, v in _pieri_elimination(alpha)})
+    return Element._of(NSYM, {("H", c): v for c, v in _pieri_elimination(alpha)})
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def ribbon_multiply(family: str, alpha, beta) -> Element:
         )
         if count:
             out[(tok, gamma)] = count
-    return Element(NSYM, out)
+    return Element._of(NSYM, out)
 
 
 def skew(family: str, outer, inner) -> Element:
@@ -333,30 +333,25 @@ def coproduct_formula_report(family: str, alpha, variant: str = "skew"):
         raise ValueError(f"unknown variant {variant!r}")
     alpha = comps.check_composition(alpha)
     ntok, qtok = NSYM_TOKEN[family], QSYM_TOKEN[family]
-    n = sum(alpha)
+    # skew-II is the rho-mirror of skew: peel from the back, compare the
+    # reversals, and put the piece on the left leg
+    mirrored = variant == "skew2"
+    peel = core.rperp if mirrored else core.perp
+    fix = comps.reverse if mirrored else tuple
     terms = {}
     violations = []
-    for m in range(n + 1):
+    for m in range(sum(alpha) + 1):
         for beta in comps.compositions(m):
-            if variant == "skew":
-                piece = core.perp(term(ntok, beta), term(qtok, alpha))
-                if piece.is_zero():
-                    continue
-                if not comps.dominated(beta, alpha):
-                    violations.append((beta, piece))
-                for (_, gamma), c in piece.terms.items():
-                    key = ((qtok, beta), ("M", gamma))
-                    terms[key] = terms.get(key, 0) + c
-            else:
-                piece = core.rperp(term(ntok, beta), term(qtok, alpha))
-                if piece.is_zero():
-                    continue
-                if not comps.dominated(comps.reverse(beta), comps.reverse(alpha)):
-                    violations.append((beta, piece))
-                for (_, gamma), c in piece.terms.items():
-                    key = (("M", gamma), (qtok, beta))
-                    terms[key] = terms.get(key, 0) + c
-    return TensorElement(QSYM, terms), violations
+            piece = peel(term(ntok, beta), term(qtok, alpha))
+            if piece.is_zero():
+                continue
+            if not comps.dominated(fix(beta), fix(alpha)):
+                violations.append((beta, piece))
+            for (_, gamma), c in piece.terms.items():
+                legs = ((qtok, beta), ("M", gamma))
+                key = legs[::-1] if mirrored else legs
+                terms[key] = terms.get(key, 0) + c
+    return TensorElement._of(QSYM, terms), violations
 
 
 def coproduct_formula(family: str, alpha, variant: str = "skew") -> TensorElement:
@@ -366,98 +361,71 @@ def coproduct_formula(family: str, alpha, variant: str = "skew") -> TensorElemen
 # ---------------------------------------------------------------------------
 # the symmetric subspace: m / h / s expansions inside QSym
 
-class SymElement:
+def _check_sym_basis(basis):
+    if basis not in ("m", "h", "s"):
+        raise ValueError(f"unknown Sym basis {basis!r}")
+
+
+def _check_partition(basis, lam):
+    lam = comps.check_composition(lam)
+    if not comps.is_partition(lam):
+        raise ValueError(f"not a partition: {lam!r}")
+    return lam
+
+
+class SymElement(core._Combination):
     """An integer combination of m, h, or s symmetric functions, indexed by
     partitions, realized when needed as the symmetric subspace of QSym."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ()
+    _SPACE = "basis"
+    basis = property(attrgetter("_space"))
+    coeffs = core._Combination.terms
+    _check_space = staticmethod(_check_sym_basis)
+    _check_key = staticmethod(_check_partition)
 
-    def __init__(self, basis: str, coeffs=None):
-        if basis not in ("m", "h", "s"):
-            raise ValueError(f"unknown Sym basis {basis!r}")
-        self.basis = basis
-        self.coeffs = {}
-        for lam, c in (coeffs or {}).items():
-            lam = tuple(lam)
-            if not comps.is_partition(lam) and lam != ():
-                raise ValueError(f"not a partition: {lam!r}")
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient {c!r} is not an integer")
-            if c:
-                self.coeffs[lam] = c
+    @staticmethod
+    def _sort_key(lam):
+        return (sum(lam), lam)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _label(self, lam):
+        return core.format_index(self._space, lam)
 
-    def __add__(self, other):
-        if not isinstance(other, SymElement) or other.basis != self.basis:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return SymElement(self.basis, out)
+    @staticmethod
+    def _json_key(lam):
+        return {"index": list(lam)}
 
-    def __neg__(self):
-        return SymElement(self.basis, {k: -c for k, c in self.coeffs.items()})
+    def _canonical(self):
+        return self.to_basis("m")._terms
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
+    def _product(self, other):
         """Multiply inside QSym (Sym is a subring) and read the product back."""
-        if not isinstance(other, SymElement):
-            return NotImplemented
         product = multiply(self.to_qsym(), other.to_qsym())
         detected = schur_detect(product)
         if detected is None:  # pragma: no cover - products of symmetric f stay symmetric
             raise ArithmeticError("product left the symmetric subspace")
         return detected
 
-    def __eq__(self, other):
-        if not isinstance(other, SymElement):
-            return NotImplemented
-        return self.to_basis("m").coeffs == other.to_basis("m").coeffs
-
-    __hash__ = None
-
     def to_basis(self, target: str) -> "SymElement":
-        if target == self.basis:
-            return SymElement(self.basis, dict(self.coeffs))
+        if target == self._space:
+            return self
         route = {
             ("s", "m"): _s_to_m,
             ("h", "s"): _h_to_s,
             ("h", "m"): lambda c: _s_to_m(_h_to_s(c)),
             ("m", "s"): _m_to_s,
-        }.get((self.basis, target))
+        }.get((self._space, target))
         if route is None:
-            raise ValueError(f"no conversion from {self.basis} to {target}")
-        return SymElement(target, route(self.coeffs))
+            raise ValueError(f"no conversion from {self._space} to {target}")
+        return SymElement._of(target, route(self._terms))
 
     def to_qsym(self) -> Element:
-        mcoeffs = self.to_basis("m").coeffs
+        mcoeffs = self.to_basis("m")._terms
         terms = {}
         for lam, c in mcoeffs.items():
             for alpha in set(permutations(lam)):
                 terms[("M", alpha)] = c
-        return Element(QSYM, terms)
-
-    def sorted_terms(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __str__(self):
-        return core.signed_sum(
-            (core.format_index(self.basis, lam), c) for lam, c in self.sorted_terms()
-        )
-
-    __repr__ = __str__
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"index": list(lam), "coeff": str(c)} for lam, c in self.sorted_terms()
-            ],
-        }
+        return Element._of(QSYM, terms)
 
 
 @lru_cache(maxsize=None)
@@ -474,43 +442,40 @@ def _by_degree(coeffs):
     return out
 
 
-def _s_to_m(coeffs):
-    out = {}
-    for n, piece in _by_degree(coeffs).items():
-        ps = comps.partitions(n)
-        kost = kostka_matrix(n)
-        for lam, c in piece.items():
-            i = ps.index(lam)
-            for j, mu in enumerate(ps):
-                if kost[i][j]:
-                    out[mu] = out.get(mu, 0) + c * kost[i][j]
-    return out
+def _kostka_reader(column: bool):
+    """Apply the Kostka matrix along its rows (s -> m: s_lam = sum_mu
+    K[lam][mu] m_mu) or along its columns (h -> s: h_mu = sum_lam
+    K[lam][mu] s_lam)."""
+    def apply(coeffs):
+        out = {}
+        for n, piece in _by_degree(coeffs).items():
+            ps = comps.partitions(n)
+            kost = kostka_matrix(n)
+            for lam, c in piece.items():
+                i = ps.index(lam)
+                line = (row[i] for row in kost) if column else kost[i]
+                for mu, v in zip(ps, line):
+                    if v:
+                        out[mu] = out.get(mu, 0) + c * v
+        return out
+
+    return apply
 
 
-def _h_to_s(coeffs):
-    # h_mu = sum_lam K[lam][mu] s_lam
-    out = {}
-    for n, piece in _by_degree(coeffs).items():
-        ps = comps.partitions(n)
-        kost = kostka_matrix(n)
-        for mu, c in piece.items():
-            j = ps.index(mu)
-            for i, lam in enumerate(ps):
-                if kost[i][j]:
-                    out[lam] = out.get(lam, 0) + c * kost[i][j]
-    return out
+_s_to_m = _kostka_reader(column=False)
+_h_to_s = _kostka_reader(column=True)
 
 
 def _m_to_s(coeffs):
     # solve sum_lam d_lam K[lam][mu] = a_mu exactly; the system is
-    # unitriangular in dominance order, so integer solutions exist
+    # unitriangular in dominance order, so it back-substitutes in integers
     out = {}
     for n, piece in _by_degree(coeffs).items():
         ps = comps.partitions(n)
         kost = kostka_matrix(n)
-        a = [Fraction(piece.get(mu, 0)) for mu in ps]
+        a = [piece.get(mu, 0) for mu in ps]
         # back-substitute against K^T: process lambdas from dominance-largest
-        d = [Fraction(0)] * len(ps)
+        d = [0] * len(ps)
         for i in reversed(range(len(ps))):
             acc = a[i] - sum(d[k] * kost[k][i] for k in range(i + 1, len(ps)))
             if kost[i][i] != 1:
@@ -521,10 +486,8 @@ def _m_to_s(coeffs):
             if sum(d[i] * kost[i][j] for i in range(len(ps))) != a[j]:
                 raise ArithmeticError("m-expansion is not in the span of Schur functions")
         for i, lam in enumerate(ps):
-            if d[i].denominator != 1:
-                raise ArithmeticError("s-expansion is not integral")
             if d[i]:
-                out[lam] = out.get(lam, 0) + int(d[i])
+                out[lam] = d[i]
     return out
 
 
@@ -536,7 +499,7 @@ def forgetful_chi(x: Element) -> SymElement:
     for comp, c in x.canonical_dict().items():
         lam = comps.sort_to_partition(comp)
         out[lam] = out.get(lam, 0) + c
-    return SymElement("h", out)
+    return SymElement._of("h", out)
 
 
 def schur_detect(f: Element):
@@ -560,7 +523,7 @@ def schur_detect(f: Element):
         for alpha in set(permutations(lam)):
             if md.get(alpha, 0) != c:
                 return None
-    return SymElement("m", by_partition).to_basis("s")
+    return SymElement._of("m", by_partition).to_basis("s")
 
 
 def littlewood_richardson(mu, nu) -> dict:

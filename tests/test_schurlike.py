@@ -542,3 +542,47 @@ def test_schur_detect_needs_every_rearrangement():
     assert sl.schur_detect(term("M", (2, 1))) is None
     assert sl.schur_detect(term("M", (2, 1)) + term("M", (1, 2))) == sl.SymElement(
         "m", {(2, 1): 1})
+
+
+def _m_to_s_by_fractions(coeffs):
+    """The earlier m -> s route, kept as the reference: back-substitution
+    against the Kostka matrix over Fraction."""
+    from fractions import Fraction
+
+    out = {}
+    by_degree = {}
+    for lam, c in coeffs.items():
+        by_degree.setdefault(sum(lam), {})[lam] = c
+    for n, piece in by_degree.items():
+        ps = comps.partitions(n)
+        kost = sl.kostka_matrix(n)
+        a = [Fraction(piece.get(mu, 0)) for mu in ps]
+        d = [Fraction(0)] * len(ps)
+        for i in reversed(range(len(ps))):
+            d[i] = (a[i] - sum(d[k] * kost[k][i] for k in range(i + 1, len(ps)))) / kost[i][i]
+        for j in range(len(ps)):
+            assert sum(d[i] * kost[i][j] for i in range(len(ps))) == a[j]
+        for i, lam in enumerate(ps):
+            if d[i]:
+                assert d[i].denominator == 1
+                out[lam] = int(d[i])
+    return out
+
+
+def test_integer_m_to_s_matches_the_fraction_route():
+    import random
+
+    rng = random.Random(20240102)
+    for n in range(9):
+        ps = comps.partitions(n)
+        for _ in range(6):
+            picked = rng.sample(ps, rng.randint(1, len(ps)))
+            coeffs = {lam: rng.choice((-5, -2, -1, 1, 3, 7)) for lam in picked}
+            # mix in a lower degree too, so the per-degree split is exercised
+            if n > 1:
+                lower = comps.partitions(rng.randrange(1, n))
+                coeffs[rng.choice(lower)] = rng.randint(1, 4)
+            got = sl._m_to_s(coeffs)
+            assert got == _m_to_s_by_fractions(coeffs), (n, coeffs)
+            assert all(type(v) is int for v in got.values())
+            assert sl.SymElement("s", got).to_basis("m") == sl.SymElement("m", coeffs)
