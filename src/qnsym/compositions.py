@@ -21,6 +21,20 @@ def check_composition(alpha) -> tuple:
     return alpha
 
 
+# The dense builders (`core.transition_matrix`, `tableaux.kappa_matrix`) hold
+# all 4**(n-1) entries of a whole-degree matrix (4M at n = 12, 16M at 13), so
+# they refuse a higher degree before computing anything.
+MAX_DENSE_DEGREE = 12
+
+
+def check_dense_degree(n: int) -> int:
+    """Return n, insisting a whole-degree matrix of degree n is in budget."""
+    if n > MAX_DENSE_DEGREE:
+        raise ValueError(f"degree {n} is past the dense-matrix budget: whole-degree "
+                         f"matrices stop at degree {MAX_DENSE_DEGREE}")
+    return n
+
+
 @lru_cache(maxsize=None)
 def compositions(n: int) -> tuple:
     """All compositions of n in canonical (lexicographic) order.

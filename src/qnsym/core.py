@@ -14,13 +14,13 @@ the pairing, involutions, the antipode) are computed canonically and
 converted back.
 
 Coefficients live in the integers by design: the canonical transition
-matrices of all registered bases are integral both ways, and any division
-that fails to be exact raises instead of silently leaving the ring.
+matrices of all registered bases are integral both ways, and every
+computation stays in the integers (no step divides; `exact_inverse` pivots
+only on +1 and -1).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
@@ -90,30 +90,53 @@ def _unexpand(basis: str, comp: tuple) -> tuple:
 # exact linear algebra over the integers
 
 def exact_inverse(rows) -> tuple:
-    """Invert an integer matrix, insisting the inverse is integral too."""
+    """Invert a square integer matrix by Gauss-Jordan elimination in the
+    integers, over sparse rows.
+
+    Only +1 and -1 entries serve as pivots, so no step divides: each step
+    takes the remaining row with the fewest nonzero entries that holds a
+    unit, pivots on its first one, and clears that column from every other
+    row.  A unitriangular matrix, with rows and columns in any order, is
+    inverted in this way.  The limit: when no remaining row holds a unit
+    (a singular matrix, or a unimodular one such as [[2, 3], [3, 5]]),
+    ArithmeticError is raised.
+    """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
+    left = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    right = [{i: 1} for i in range(n)]
+    inverse = [None] * n
+    unused = set(range(n))
+    while unused:
+        pivot, col = _unit_pivot(left, unused)
+        unused.remove(pivot)
+        row, inv_row = left[pivot], right[pivot]
+        if row[col] == -1:
+            row, inv_row = {c: -v for c, v in row.items()}, {c: -v for c, v in inv_row.items()}
+            left[pivot], right[pivot] = row, inv_row
+        for other in range(n):
+            f = left[other].get(col) if other != pivot else None
+            if not f:
+                continue
+            for target, source in ((left[other], row), (right[other], inv_row)):
+                for c, v in source.items():
+                    w = target.get(c, 0) - f * v
+                    if w:
+                        target[c] = w
+                    else:
+                        del target[c]
+        inverse[col] = inv_row
+    return tuple(tuple(row.get(j, 0) for j in range(n)) for row in inverse)
+
+
+def _unit_pivot(left, unused):
+    """The sparsest unused row that holds a +1 or -1, and that entry's column."""
+    for size, r in sorted((len(left[r]), r) for r in unused):
+        if not size:
             raise ArithmeticError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    inv = []
-    for r in range(n):
-        out_row = []
-        for v in aug[r][n:]:
-            if v.denominator != 1:
-                raise ArithmeticError("inverse is not integral")
-            out_row.append(int(v))
-        inv.append(tuple(out_row))
-    return tuple(inv)
+        for c in sorted(left[r]):
+            if left[r][c] in (1, -1):
+                return r, c
+    raise ArithmeticError("no unit pivot left: the inverse needs division")
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +653,7 @@ class TransitionMatrix(NamedTuple):
 def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix:
     if algebra_of(source) != algebra_of(target):
         raise ValueError("transition matrix needs two bases of one algebra")
-    cs = comps.compositions(degree)
+    cs = comps.compositions(comps.check_dense_degree(degree))
     where = {c: j for j, c in enumerate(cs)}
     rows = []
     for a in cs:

@@ -7,7 +7,10 @@ number of shin tableaux of shape C[i] and type C[j],
 
     H_{C[j]}  = sum_i K[i][j] sh_{C[i]},      sh*_{C[i]} = sum_j K[i][j] M_{C[j]},
 
-so sh->H inverts K exactly over the integers.  The other pairs are its
+and K[i][j] is the number of chains of strips, of sizes C[j]_1, C[j]_2, ...,
+that build C[i] (the right Pieri rule sh_a H_r = sum of sh over the strip
+extensions of a by r boxes).  K is unitriangular, so sh->H inverts it in
+the integers, pivoting only on units.  The other pairs are its
 images psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a), omega(sh_a) = bsh_rev(a)
 (starred alike); their own tableau counts are the oracle of `verify
 tableaux`.  On top of the bases live the Pieri rules, the beth creation

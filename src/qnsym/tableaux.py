@@ -15,6 +15,15 @@ shin        weakly increasing     strictly increasing bottom up, L-R  i+1 strict
 row_strict  strictly increasing   weakly increasing   top down,  L-R  i+1 weakly above
 flipped     weakly decreasing     strictly increasing bottom up, R-L  i+1 strictly below
 backward    strictly decreasing   weakly increasing   top down,  R-L  i+1 weakly above
+
+K matrices (tableaux of straight shape alpha and type beta) are counted two
+ways.  `count_K` backtracks over fillings, for every family; it counts the
+row-strict, flipped and backward matrices and the Kostka matrix, and it is
+the oracle for the other way.  The shin matrix, which builds the bases, is
+read off strip chains instead: in a shin tableau the entries equal to v
+fill a strip over the entries below v, so K[alpha][beta] is the number of
+chains () = g0 < g1 < ... < gk = alpha whose i-th step is a strip of beta_i
+boxes (`strip_chain_counts`), and no tableau is enumerated.
 """
 
 from __future__ import annotations
@@ -342,8 +351,15 @@ def count_K(family: str, alpha, beta) -> int:
 
 @lru_cache(maxsize=None)
 def kappa_matrix(family: str, n: int) -> tuple:
-    """K[i][j] = #tableaux of shape C[i] and type C[j], C = compositions(n)."""
-    cs = comps.compositions(n)
+    """K[i][j] = #tableaux of shape C[i] and type C[j], C = compositions(n).
+
+    The shin matrix is read off strip chains (`strip_chain_counts`); the
+    other families are counted tableau by tableau (`count_K`).
+    """
+    cs = comps.compositions(comps.check_dense_degree(n))
+    if family == "shin":
+        columns = strip_chain_counts(n)
+        return tuple(tuple(columns[b].get(a, 0) for b in cs) for a in cs)
     return tuple(tuple(count_K(family, a, b) for b in cs) for a in cs)
 
 
@@ -363,16 +379,6 @@ def ell_matrix(family: str, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # shin strips and the box-adding order on compositions
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
 
 def is_shin_strip(alpha, beta) -> bool:
     """Whether beta/alpha is a strip extension: each row of alpha may grow,
@@ -396,18 +402,48 @@ def strip_extensions(alpha, r: int) -> tuple:
     alpha = tuple(alpha)
     if r < 0:
         raise ValueError("strip size must be nonnegative")
-    if r == 0:
-        return (alpha,)
-    k = len(alpha)
-    found = set()
-    for extra_row in (0, 1):
-        for d in _weak_compositions(r, k + extra_row):
-            if extra_row and d[-1] == 0:
-                continue
-            beta = tuple(a + e for a, e in zip(alpha + (0,) * extra_row, d))
-            if is_shin_strip(alpha, beta):
-                found.add(beta)
+    found = []
+
+    def grow(i, left, tallest, lower):
+        # rows below i are fixed (lower, bottom up); row i may grow only if
+        # none of them reaches past its old length alpha[i]
+        if i < 0:
+            if not left:
+                found.append(tuple(reversed(lower)))
+            return
+        a = alpha[i]
+        for d in range(left + 1 if tallest <= a else 1):
+            lower.append(a + d)
+            grow(i - 1, left - d, max(tallest, a + d), lower)
+            lower.pop()
+
+    for new_row in range(r + 1):  # length of the new last row, 0 for none
+        grow(len(alpha) - 1, r - new_row, new_row, [new_row] if new_row else [])
     return tuple(sorted(found))
+
+
+def strip_chain_counts(n: int) -> dict:
+    """Column beta of the shin K matrix, as {alpha: K[alpha][beta]}, for
+    every composition beta of size at most n, memoised on prefixes:
+
+        chains(beta) = sum over gamma in chains(beta[:-1])
+                       of strip_extensions(gamma, beta[-1]),
+
+    the paper's right Pieri rule sh_a H_r read column by column.
+    """
+    chains = {(): {(): 1}}
+    strips = {}
+    for m in range(1, n + 1):
+        for beta in comps.compositions(m):
+            r, counts = beta[-1], {}
+            for gamma, c in chains[beta[:-1]].items():
+                ext = strips.get((gamma, r))
+                if ext is None:
+                    ext = strips[gamma, r] = strip_extensions(gamma, r)
+                for delta in ext:
+                    counts[delta] = counts.get(delta, 0) + c
+            chains[beta] = counts
+    return chains
 
 
 def poset_covers(alpha) -> tuple:

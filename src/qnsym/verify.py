@@ -131,20 +131,30 @@ def check_involutions(max_degree, rng):
 
 def check_jt_vs_pieri(max_degree, rng):
     """The oracle triangle: matrix inversion, Pieri elimination, and the
-    signed permutation expansion must agree on strictly increasing indices."""
+    signed permutation expansion must agree on strictly increasing indices.
+    The matrix leg inverts K counted by backtracking over tableaux, so that
+    it shares no code with the strip chains behind the Pieri leg and the
+    registered sh basis; the registered sh -> H must match it too."""
     cases, failures = 0, []
     for n in range(1, max_degree + 1):
-        for beta in comps.compositions(n):
+        cs = comps.compositions(n)
+        inverse = core.exact_inverse(
+            [[tab.count_K("shin", a, b) for b in cs] for a in cs])
+        for j, beta in enumerate(cs):
             if not all(x < y for x, y in zip(beta, beta[1:])):
                 continue
             cases += 1
-            via_matrix = term("sh", beta).convert("H")
+            via_matrix = core.Element(core.NSYM, {
+                ("H", alpha): row[j] for alpha, row in zip(cs, inverse)})
             via_pieri = sl.pieri_elimination(beta)
             via_jt = sl.jacobi_trudi("sh", beta)
             if via_matrix != via_pieri:
                 failures.append(f"matrix vs pieri route differ at sh{list(beta)}")
             if via_pieri != via_jt:
                 failures.append(f"pieri vs jacobi-trudi route differ at sh{list(beta)}")
+            if term("sh", beta).convert("H") != via_matrix:
+                failures.append(f"registered sh -> H differs from the matrix route "
+                                f"at sh{list(beta)}")
     return cases, failures
 
 
@@ -268,6 +278,17 @@ def check_tableaux(max_degree, rng):
                 is_rhook = all(p == 1 for p in alpha[:-1])
                 if (term("sh*", alpha).convert("F") == term("F", alpha)) != is_rhook:
                     failures.append(f"reverse-hook characterization fails at {list(alpha)}")
+    # the shin matrix that builds the bases comes from strip chains: each
+    # entry must equal the backtracking count
+    for n in range(max_degree + 1):
+        cs, kappa = comps.compositions(n), tab.kappa_matrix("shin", n)
+        cases += 1
+        wrong = [(a, b, v) for a, row in zip(cs, kappa) for b, v in zip(cs, row)
+                 if v != tab.count_K("shin", a, b)]
+        if wrong:
+            a, b, v = wrong[0]
+            failures.append(f"shin K[{list(a)}][{list(b)}] = {v} from strip chains but "
+                            f"{tab.count_K('shin', a, b)} by backtracking, degree {n}")
     # the other families' counts do not build their bases: each must equal
     # the shin matrix carried over by psi, rho or omega, read both ways
     for family in tab.FAMILIES[1:]:

@@ -159,6 +159,18 @@ def test_domain_errors_exit_1(capsys):
     assert "2,2,4" in err
 
 
+def test_dense_degree_budget_fails_fast_with_exit_1(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(["transition-matrix", "H", "E", "30"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: degree 30 is past the dense-matrix budget: "
+                            "whole-degree matrices stop at degree 12\n")
+
+
 def test_skew_warning_not_on_stdout(capsys, recwarn):
     assert cli.run(["skew", "--family", "sh", "2,1", "1,2"]) == 0
     out = capsys.readouterr().out

@@ -319,6 +319,58 @@ def test_exact_inverse():
         exact_inverse(((1, 1), (1, 1)))
 
 
+def _inverse_by_fractions(rows):
+    """The earlier inverse, kept as the reference: Gauss-Jordan over
+    Fraction, insisting the inverse is integral."""
+    from fractions import Fraction
+
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    assert all(v.denominator == 1 for row in aug for v in row[n:])
+    return tuple(tuple(int(v) for v in row[n:]) for row in aug)
+
+
+def _permuted_unitriangular(rng, n):
+    """P L Q with L lower unitriangular, rows negated at random: unimodular."""
+    lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return tuple(tuple(rng.choice((1, -1)) * lower[r][c] for c in cols) for r in rows)
+
+
+def test_exact_inverse_matches_the_fraction_route():
+    import random
+
+    from qnsym import tableaux as tab
+
+    for family in tab.FAMILIES:
+        for n in range(7):
+            kappa = tab.kappa_matrix(family, n)
+            assert exact_inverse(kappa) == _inverse_by_fractions(kappa), (family, n)
+    rng = random.Random(20240104)
+    for n in range(1, 13):
+        for _ in range(8):
+            m = _permuted_unitriangular(rng, n)
+            assert exact_inverse(m) == _inverse_by_fractions(m), m
+
+
+def test_exact_inverse_pivots_only_on_units():
+    # unimodular, but no entry is a unit: the documented limit
+    with pytest.raises(ArithmeticError, match="unit pivot"):
+        exact_inverse(((2, 3), (3, 5)))
+    with pytest.raises(ArithmeticError, match="singular"):
+        exact_inverse(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
 def test_transition_matrix():
     t = transition_matrix("H", "R", 2)
     assert t.indices == ((1, 1), (2,))

@@ -193,8 +193,8 @@ def test_read_only_views_serve_every_reader():
 # --- integers only ---------------------------------------------------------------
 
 def test_fractions_only_in_exact_inverse_module():
-    """Production code computes in the integers; `fractions` may appear only
-    in core, for `exact_inverse`."""
+    """Production code computes in the integers: no module in the package
+    imports `fractions`."""
     importers = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -206,4 +206,4 @@ def test_fractions_only_in_exact_inverse_module():
                 continue
             if any(n.split(".")[0] == "fractions" for n in names):
                 importers.add(path.name)
-    assert importers <= {"core.py"}
+    assert importers == set()

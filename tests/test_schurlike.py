@@ -68,7 +68,7 @@ def test_delta_pairing(ntok, qtok):
 
 
 def test_kappa_inverse_is_integral():
-    # the registered expansions already exercise this; spot-check one entry
+    # no basis is built from the row-strict matrix: spot-check its inverse
     kinv = sl._kappa_inverse("row_strict", 4)
     assert all(isinstance(v, int) for row in kinv for v in row)
 
@@ -511,6 +511,25 @@ def test_schurlike_bases_need_only_the_shin_tableau_counts(monkeypatch):
                                        for i in range(len(forth))], (tok, n)
     finally:
         monkeypatch.undo()
+        _clear_conversion_caches()
+
+
+def test_shin_bases_are_built_without_enumerating_tableaux(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tableaux enumerated while building a basis")
+
+    monkeypatch.setattr(tab, "_backtrack", refuse)
+    tab.kappa_matrix.cache_clear()
+    _clear_conversion_caches()
+    try:
+        for n in range(8):
+            for tok, canonical in (("sh", "H"), ("sh*", "M")):
+                forth = core.transition_matrix(tok, canonical, n).rows
+                back = core.transition_matrix(canonical, tok, n).rows
+                assert core.exact_inverse(forth) == back, (tok, n)
+    finally:
+        monkeypatch.undo()
+        tab.kappa_matrix.cache_clear()
         _clear_conversion_caches()
 
 

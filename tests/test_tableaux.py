@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnsym import compositions as comps
 from qnsym import tableaux as tab
@@ -282,3 +283,52 @@ def test_chains_biject_with_standard_skew_tableaux():
                     for c in chains:
                         t = tab.chain_to_tableau(c)
                         assert tab.validate(t) and t.is_standard()
+
+
+# --- the shin K matrix from strip chains, against the old routes ---------------
+
+def _strips_by_filtering(alpha, r):
+    """The earlier strip route, kept as the reference: every way to share r
+    boxes among the rows of alpha and one new row, kept if `is_shin_strip`."""
+    def weak(total, parts):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(total + 1):
+            for rest in weak(total - first, parts - 1):
+                yield (first,) + rest
+
+    found = {alpha} if r == 0 else set()
+    for extra_row in (0, 1):
+        for d in weak(r, len(alpha) + extra_row):
+            if r and not (extra_row and d[-1] == 0):
+                beta = tuple(a + e for a, e in zip(alpha + (0,) * extra_row, d))
+                if tab.is_shin_strip(alpha, beta):
+                    found.add(beta)
+    return tuple(sorted(found))
+
+
+def test_strip_extensions_match_the_filtering_route():
+    for m in range(7):
+        for alpha in comps.compositions(m):
+            for r in range(6):
+                assert tab.strip_extensions(alpha, r) == _strips_by_filtering(alpha, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_strip_chain_entry_equals_the_backtracking_count(data):
+    n = data.draw(st.integers(0, 7))
+    cs = comps.compositions(n)
+    i = data.draw(st.integers(0, len(cs) - 1))
+    j = data.draw(st.integers(0, len(cs) - 1))
+    assert tab.kappa_matrix("shin", n)[i][j] == tab.count_K("shin", cs[i], cs[j])
+
+
+def test_dense_builders_refuse_a_degree_past_the_budget():
+    top = comps.MAX_DENSE_DEGREE
+    assert top >= 12
+    for family in tab.FAMILIES:
+        with pytest.raises(ValueError, match="budget"):
+            tab.kappa_matrix(family, top + 1)
