@@ -8,8 +8,10 @@ subsets of {1, ..., n-1} via proper partial sums, and most of the maps here
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 
 def check_composition(alpha) -> tuple:
@@ -159,8 +161,53 @@ def is_partition(lam) -> bool:
 
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple:
-    """All partitions of n, in canonical composition order."""
-    return tuple(a for a in compositions(n) if is_partition(a))
+    """All partitions of n, in canonical composition order (ascending lex).
+
+    Generated directly, each part at most the one before it, so the work is
+    the p(n) partitions, not the 2**(n-1) compositions a filter would build.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+    def bounded(m, top):
+        # partitions of m with every part <= top, ascending lex
+        if m == 0:
+            yield ()
+            return
+        for first in range(1, min(m, top) + 1):
+            for rest in bounded(m - first, first):
+                yield (first,) + rest
+
+    return tuple(bounded(n, n))
+
+
+def rearrangements(lam):
+    """Each distinct rearrangement of the parts of lam once, in lexicographic
+    order: next-permutation on the sorted parts, so the work is the output's
+    size, not len(lam)!.  rearrangements(()) yields () once."""
+    a = sorted(lam)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def rearrangement_count(lam) -> int:
+    """Number of distinct rearrangements of lam: the multinomial
+    len(lam)! / prod(m! for each part's multiplicity m)."""
+    count, placed = 1, 0
+    for m in Counter(lam).values():
+        placed += m
+        count *= comb(placed, m)
+    return count
 
 
 def flatten(weak) -> tuple:

@@ -417,25 +417,47 @@ class SymElement(core._Combination):
             ("h", "s"): _h_to_s,
             ("h", "m"): lambda c: _s_to_m(_h_to_s(c)),
             ("m", "s"): _m_to_s,
+            ("s", "h"): _s_to_h,
+            ("m", "h"): lambda c: _s_to_h(_m_to_s(c)),
         }.get((self._space, target))
         if route is None:
             raise ValueError(f"no conversion from {self._space} to {target}")
         return SymElement._of(target, route(self._terms))
 
     def to_qsym(self) -> Element:
-        mcoeffs = self.to_basis("m")._terms
-        terms = {}
-        for lam, c in mcoeffs.items():
-            for alpha in set(permutations(lam)):
-                terms[("M", alpha)] = c
-        return Element._of(QSYM, terms)
+        """The M-expansion: m_lam is the sum of M over the distinct
+        rearrangements of lam, each written once."""
+        return Element._of(QSYM, {("M", alpha): c
+                                  for lam, c in self.to_basis("m")._terms.items()
+                                  for alpha in comps.rearrangements(lam)})
 
 
 @lru_cache(maxsize=None)
 def kostka_matrix(n: int) -> tuple:
-    """K[i][j] = #SSYT of shape lambda_i and weight mu_j over partitions(n)."""
+    """K[i][j] = #SSYT of shape lambda_i and weight mu_j over partitions(n).
+
+    On a partition shape an SSYT is a shin tableau, its entries up to each
+    value fill a partition, and between two partitions a shin strip is a
+    horizontal strip.  So column mu counts the shin strip chains of mu
+    (`tab.strip_extensions`, as in `tab.strip_chain_counts`) kept on
+    partition shapes, memoised on the prefixes of mu; `tab.count_K`, which
+    backtracks over fillings, is the oracle.
+    """
     ps = comps.partitions(n)
-    return tuple(tuple(tab.count_K("shin", lam, mu) for mu in ps) for lam in ps)
+    chains = {(): {(): 1}}
+
+    def column(mu):
+        if mu not in chains:
+            counts = {}
+            for gamma, c in column(mu[:-1]).items():
+                for delta in tab.strip_extensions(gamma, mu[-1]):
+                    if comps.is_partition(delta):
+                        counts[delta] = counts.get(delta, 0) + c
+            chains[mu] = counts
+        return chains[mu]
+
+    columns = [column(mu) for mu in ps]
+    return tuple(tuple(col.get(lam, 0) for col in columns) for lam in ps)
 
 
 def _by_degree(coeffs):
@@ -469,29 +491,42 @@ _s_to_m = _kostka_reader(column=False)
 _h_to_s = _kostka_reader(column=True)
 
 
-def _m_to_s(coeffs):
-    # solve sum_lam d_lam K[lam][mu] = a_mu exactly; the system is
-    # unitriangular in dominance order, so it back-substitutes in integers
-    out = {}
-    for n, piece in _by_degree(coeffs).items():
-        ps = comps.partitions(n)
-        kost = kostka_matrix(n)
-        a = [piece.get(mu, 0) for mu in ps]
-        # back-substitute against K^T: process lambdas from dominance-largest
-        d = [0] * len(ps)
-        for i in reversed(range(len(ps))):
-            acc = a[i] - sum(d[k] * kost[k][i] for k in range(i + 1, len(ps)))
-            if kost[i][i] != 1:
-                raise ArithmeticError("Kostka matrix is not unitriangular")
-            d[i] = acc
-        # verify the full system, not just the triangular part
-        for j in range(len(ps)):
-            if sum(d[i] * kost[i][j] for i in range(len(ps))) != a[j]:
-                raise ArithmeticError("m-expansion is not in the span of Schur functions")
-        for i, lam in enumerate(ps):
-            if d[i]:
-                out[lam] = d[i]
-    return out
+def _kostka_solve(column: bool):
+    """Invert `_kostka_reader(column)` in the integers: given a, find d with
+    sum_i d_i line_i = a, where line_i is the row (m -> s) or the column
+    (s -> h) of K that the reader adds for index i.  K is unitriangular,
+    lower in the partition order, so d comes by substitution: rows back
+    from the last, columns forward from the first."""
+    def solve(coeffs):
+        out = {}
+        for n, piece in _by_degree(coeffs).items():
+            ps = comps.partitions(n)
+            kost = kostka_matrix(n)
+            lines = tuple(zip(*kost)) if column else kost
+            a = [piece.get(mu, 0) for mu in ps]
+            d = [0] * len(ps)
+            done = []
+            for i in (range(len(ps)) if column else reversed(range(len(ps)))):
+                if lines[i][i] != 1:
+                    raise ArithmeticError("Kostka matrix is not unitriangular")
+                d[i] = a[i] - sum(d[k] * lines[k][i] for k in done)
+                done.append(i)
+            # verify the full system, not just the triangular part
+            for j in range(len(ps)):
+                if sum(d[i] * lines[i][j] for i in range(len(ps))) != a[j]:
+                    raise ArithmeticError(
+                        f"{'s' if column else 'm'}-expansion is not in the span of "
+                        f"{'h' if column else 'Schur'} functions")
+            for i, lam in enumerate(ps):
+                if d[i]:
+                    out[lam] = d[i]
+        return out
+
+    return solve
+
+
+_m_to_s = _kostka_solve(column=False)
+_s_to_h = _kostka_solve(column=True)
 
 
 def forgetful_chi(x: Element) -> SymElement:
@@ -509,7 +544,10 @@ def schur_detect(f: Element):
     """Return the s-expansion of f if it is symmetric, else None.
 
     f is symmetric when its M-coefficients are constant on sort classes,
-    including the rearrangements that do not appear explicitly.
+    including the rearrangements that do not appear explicitly.  Every
+    M-coefficient must equal that of its class's partition, and each class
+    present must have all `comps.rearrangement_count(lam)` members; the
+    count decides the second test without listing a single rearrangement.
     """
     if f.algebra != QSYM:
         raise ValueError("schur_detect acts on QSym")
@@ -519,13 +557,14 @@ def schur_detect(f: Element):
         lam = comps.sort_to_partition(comp)
         if comp == lam:
             by_partition[lam] = c
+    members = {}
     for comp, c in md.items():
-        if by_partition.get(comps.sort_to_partition(comp), 0) != c:
+        lam = comps.sort_to_partition(comp)
+        if by_partition.get(lam, 0) != c:
             return None
-    for lam, c in by_partition.items():
-        for alpha in set(permutations(lam)):
-            if md.get(alpha, 0) != c:
-                return None
+        members[lam] = members.get(lam, 0) + 1
+    if any(members[lam] != comps.rearrangement_count(lam) for lam in by_partition):
+        return None
     return SymElement._of("m", by_partition).to_basis("s")
 
 

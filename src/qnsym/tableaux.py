@@ -18,9 +18,9 @@ backward    strictly decreasing   weakly increasing   top down,  R-L  i+1 weakly
 
 K matrices (tableaux of straight shape alpha and type beta) are counted two
 ways.  `count_K` backtracks over fillings, for every family; it counts the
-row-strict, flipped and backward matrices and the Kostka matrix, and it is
-the oracle for the other way.  The shin matrix, which builds the bases, is
-read off strip chains instead: in a shin tableau the entries equal to v
+row-strict, flipped and backward matrices, and it is the oracle for the
+strip-chain counts of the shin matrix and of `schurlike.kostka_matrix`.
+The shin matrix, which builds the bases, is read off strip chains instead: in a shin tableau the entries equal to v
 fill a strip over the entries below v, so K[alpha][beta] is the number of
 chains () = g0 < g1 < ... < gk = alpha whose i-th step is a strip of beta_i
 boxes (`strip_chain_counts`), and no tableau is enumerated.

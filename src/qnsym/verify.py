@@ -221,9 +221,14 @@ def check_schur_bridge(max_degree, rng):
             if sl.schur_detect(term("bsh*", rev)) != sl.SymElement(
                     "s", {comps.conjugate(lam): 1}):
                 failures.append(f"bsh*{list(rev)} is not the conjugate Schur function")
+        # the strip-chain Kostka matrix against backtracking over fillings
+        ps = comps.partitions(n)
+        cases += 1
+        if sl.kostka_matrix(n) != tuple(
+                tuple(tab.count_K("shin", lam, mu) for mu in ps) for lam in ps):
+            failures.append(f"Kostka matrix at degree {n} differs from count_K")
     # structure constants on partition indices = independently computed LR
-    lr_bound = min(max_degree, 6)
-    for total in range(2, lr_bound + 1):
+    for total in range(2, max_degree + 1):
         for k in range(1, total):
             for mu in comps.partitions(k):
                 for nu in comps.partitions(total - k):

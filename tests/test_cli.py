@@ -124,6 +124,14 @@ def test_chi_and_schur_detect(capsys):
     assert capsys.readouterr().out == "s[2,1]\nnot symmetric\ns[2,2]\n"
 
 
+def test_schur_detect_of_a_long_column_lists_no_rearrangement(capsys):
+    # M[1^12] = e_12 = s[1^12]; listing the permutations of the index would
+    # walk 12! tuples
+    ones = ",".join(["1"] * 12)
+    assert cli.run(["schur-detect", f"M[{ones}]"]) == 0
+    assert capsys.readouterr().out == f"s[{ones}]\n"
+
+
 def test_struct_coeffs(capsys):
     assert cli.run(["struct-coeffs", "--family", "sh", "2,1", "1"]) == 0
     assert capsys.readouterr().out == "sh[2,1,1]: 1\nsh[2,2]: 1\nsh[3,1]: 1\n"

@@ -1,3 +1,6 @@
+from itertools import permutations
+
+import pytest
 from hypothesis import given, strategies as st
 
 from qnsym import compositions as comps
@@ -88,6 +91,33 @@ def test_partitions_and_sorting():
 def test_flatten():
     assert comps.flatten((0, 2, 0, 1)) == (2, 1)
     assert comps.flatten(()) == ()
+
+
+def test_partitions_match_the_composition_filter():
+    # the direct generator against the earlier route: filter all compositions
+    for n in range(15):
+        assert comps.partitions(n) == tuple(
+            a for a in comps.compositions(n) if comps.is_partition(a)), n
+    with pytest.raises(ValueError):
+        comps.partitions(-1)
+
+
+def _multisets():
+    for n in range(9):
+        yield from comps.partitions(n)
+    # unsorted inputs with repeated parts
+    yield from ((2, 1, 2, 3, 1), (1, 3, 1, 3), (5, 5, 5, 1), (2, 2, 2, 2, 2), (4, 1, 4, 1, 4, 2))
+
+
+def test_rearrangements_match_the_permutation_set():
+    for lam in _multisets():
+        listed = list(comps.rearrangements(lam))
+        assert listed == sorted(set(permutations(lam))), lam
+        assert comps.rearrangement_count(lam) == len(listed), lam
+    assert list(comps.rearrangements(())) == [()]
+    assert comps.rearrangement_count(()) == 1
+    assert comps.rearrangement_count((1,) * 12) == 1
+    assert comps.rearrangement_count((3, 2, 2, 1, 1, 1)) == 60
 
 
 @given(comp_strategy())

@@ -379,8 +379,9 @@ def test_sym_element_basics():
     h = sl.SymElement("h", {(2, 1): 1})
     assert h.to_basis("s").coeffs == {(2, 1): 1, (3,): 1}
     assert h.to_basis("m").coeffs == {(3,): 1, (2, 1): 2, (1, 1, 1): 3}
+    assert s21.to_basis("h").coeffs == {(2, 1): 1, (3,): -1}
     with pytest.raises(ValueError):
-        s21.to_basis("h")
+        s21.to_basis("e")
     with pytest.raises(ValueError):
         sl.SymElement("p", {})
 
@@ -605,3 +606,153 @@ def test_integer_m_to_s_matches_the_fraction_route():
             assert got == _m_to_s_by_fractions(coeffs), (n, coeffs)
             assert all(type(v) is int for v in got.values())
             assert sl.SymElement("s", got).to_basis("m") == sl.SymElement("m", coeffs)
+
+
+def _schur_detect_by_enumeration(f):
+    """The earlier schur_detect, kept as the reference: it lists every
+    rearrangement of each partition present with set(permutations(lam))."""
+    from itertools import permutations
+
+    md = f.canonical_dict()
+    by_partition = {}
+    for comp, c in md.items():
+        lam = comps.sort_to_partition(comp)
+        if comp == lam:
+            by_partition[lam] = c
+    for comp, c in md.items():
+        if by_partition.get(comps.sort_to_partition(comp), 0) != c:
+            return None
+    for lam, c in by_partition.items():
+        for alpha in set(permutations(lam)):
+            if md.get(alpha, 0) != c:
+                return None
+    return sl.SymElement("m", by_partition).to_basis("s")
+
+
+def _symmetric_perturbations(md, rng):
+    """Three copies of a symmetric M-expansion md, each made non-symmetric:
+    one rearrangement dropped, one coefficient changed, one stray member of
+    an absent sort class added."""
+    # only a class of two or more members can lose or change one of them
+    keys = sorted(a for a in md if len(set(a)) > 1)
+    dropped = dict(md)
+    del dropped[rng.choice(keys)]
+    changed = dict(md)
+    changed[rng.choice(keys)] += rng.choice((-1, 1))
+    n = sum(keys[0])
+    absent = [lam for lam in comps.partitions(n)
+              if len(set(lam)) > 1 and lam not in md]
+    out = [dropped, changed]
+    if absent:
+        stray = dict(md)
+        lam = rng.choice(absent)
+        # the last rearrangement in lex order is lam itself: leave it out
+        stray[rng.choice(list(comps.rearrangements(lam))[:-1])] = rng.randint(1, 3)
+        out.append(stray)
+    return [core.Element(core.QSYM, {("M", a): c for a, c in p.items()}) for p in out]
+
+
+def test_schur_detect_matches_the_enumerating_route():
+    import random
+
+    rng = random.Random(20240505)
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        cs = comps.compositions(n)
+        # a seeded M/F element, mostly not symmetric
+        f = sum((rng.choice((-3, -1, 1, 2)) * term(rng.choice("MF"), rng.choice(cs))
+                 for _ in range(rng.randint(1, 5))), core.zero(core.QSYM))
+        assert sl.schur_detect(f) == _schur_detect_by_enumeration(f), f
+        # a seeded symmetric element, then three ways to break its symmetry
+        ps = comps.partitions(n)
+        x = sl.SymElement(rng.choice("smh"), {lam: rng.choice((-2, 1, 3))
+                                              for lam in rng.sample(ps, rng.randint(1, len(ps)))})
+        g = x.to_qsym()
+        assert sl.schur_detect(g) == _schur_detect_by_enumeration(g) == x.to_basis("s")
+        if any(len(set(a)) > 1 for _, a in g.terms):
+            for broken in _symmetric_perturbations(g.canonical_dict(), rng):
+                assert sl.schur_detect(broken) is None, broken
+                assert _schur_detect_by_enumeration(broken) is None, broken
+
+
+def test_chain_kostka_matrix_matches_count_k():
+    for n in range(10):
+        ps = comps.partitions(n)
+        assert sl.kostka_matrix(n) == tuple(
+            tuple(tab.count_K("shin", lam, mu) for mu in ps) for lam in ps), n
+
+
+def test_sym_bridge_enumerates_no_permutation_and_no_tableau(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("permutations or tableaux enumerated on the Sym path")
+
+    monkeypatch.setattr(sl, "permutations", refuse)
+    monkeypatch.setattr(tab, "_backtrack", refuse)
+    sl.kostka_matrix.cache_clear()
+    try:
+        for n in range(1, 10):
+            for lam in comps.partitions(n):
+                s_lam = sl.SymElement("s", {lam: 1})
+                assert sl.schur_detect(s_lam.to_qsym()) == s_lam, lam
+            # e_k e_(n-k) = sum of s over the shapes (2^j, 1^(n-2j))
+            for k in range(1, n):
+                want = {(2,) * j + (1,) * (n - 2 * j): 1 for j in range(min(k, n - k) + 1)}
+                assert sl.littlewood_richardson((1,) * k, (1,) * (n - k)) == want, (n, k)
+            if n > 3:
+                # Pieri: s_21 h_(n-3) sums s_lam over lam/(2,1) a horizontal strip
+                want = {}
+                for lam in comps.partitions(n):
+                    a, b, c, d = (lam + (0,) * 4)[:4]
+                    if a >= 2 and 1 <= b <= 2 and c <= 1 and d == 0:
+                        want[lam] = 1
+                assert sl.littlewood_richardson((2, 1), (n - 3,)) == want, n
+    finally:
+        monkeypatch.undo()
+        sl.kostka_matrix.cache_clear()
+
+
+def _s_to_h_by_fractions(coeffs):
+    """Reference s -> h: forward substitution against the Kostka matrix
+    over Fraction, dividing by the diagonal (sum_mu K[lam][mu] d_mu = c_lam)."""
+    from fractions import Fraction
+
+    out = {}
+    by_degree = {}
+    for lam, c in coeffs.items():
+        by_degree.setdefault(sum(lam), {})[lam] = c
+    for n, piece in by_degree.items():
+        ps = comps.partitions(n)
+        kost = sl.kostka_matrix(n)
+        c = [Fraction(piece.get(lam, 0)) for lam in ps]
+        d = [Fraction(0)] * len(ps)
+        for i in range(len(ps)):
+            d[i] = (c[i] - sum(kost[i][k] * d[k] for k in range(i))) / kost[i][i]
+        for i in range(len(ps)):
+            assert sum(kost[i][k] * d[k] for k in range(len(ps))) == c[i]
+        for i, mu in enumerate(ps):
+            if d[i]:
+                assert d[i].denominator == 1
+                out[mu] = int(d[i])
+    return out
+
+
+def test_s_and_m_to_h_round_trip_and_match_the_fraction_route():
+    import random
+
+    rng = random.Random(20240506)
+    for n in range(9):
+        ps = comps.partitions(n)
+        for _ in range(4):
+            coeffs = {lam: rng.choice((-5, -2, -1, 1, 3, 7))
+                      for lam in rng.sample(ps, rng.randint(1, len(ps)))}
+            if n > 1:
+                coeffs[rng.choice(comps.partitions(rng.randrange(1, n)))] = rng.randint(1, 4)
+            h, s, m = (sl.SymElement(b, coeffs) for b in "hsm")
+            assert h.to_basis("s").to_basis("h") == h
+            assert s.to_basis("h").to_basis("s") == s
+            assert m.to_basis("h").to_basis("m") == m
+            got = sl._s_to_h(coeffs)
+            assert got == _s_to_h_by_fractions(coeffs), (n, coeffs)
+            assert all(type(v) is int for v in got.values())
+            assert m.to_basis("h").coeffs == _s_to_h_by_fractions(
+                _m_to_s_by_fractions(coeffs))
