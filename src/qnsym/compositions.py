@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 
@@ -27,6 +27,11 @@ def check_composition(alpha) -> tuple:
 # all 4**(n-1) entries of a whole-degree matrix (4M at n = 12, 16M at 13), so
 # they refuse a higher degree before computing anything.
 MAX_DENSE_DEGREE = 12
+
+
+# Refinements and coarsenings of one composition (2**(n - len) and
+# 2**(len - 1) of them) are listed only up to this many: all of degree <= 17.
+MAX_REFINEMENTS = 2 ** 16
 
 
 def check_dense_degree(n: int) -> int:
@@ -109,13 +114,6 @@ def concat(alpha, beta) -> tuple:
     return tuple(alpha) + tuple(beta)
 
 
-def near_concat(alpha, beta) -> tuple:
-    """Concatenation with the boundary parts merged; both factors nonempty."""
-    if not alpha or not beta:
-        raise ValueError("near_concat needs two nonempty compositions")
-    return tuple(alpha[:-1]) + (alpha[-1] + beta[0],) + tuple(beta[1:])
-
-
 def refines(alpha, beta) -> bool:
     """alpha refines beta: beta is obtained by merging adjacent parts of alpha."""
     if sum(alpha) != sum(beta):
@@ -123,23 +121,30 @@ def refines(alpha, beta) -> bool:
     return set_of(beta) <= set_of(alpha)
 
 
+def _check_listing(exponent: int, what: str, alpha) -> None:
+    """Refuse to list 2**exponent compositions past MAX_REFINEMENTS."""
+    if 2 ** min(exponent, 64) > MAX_REFINEMENTS:
+        raise ValueError(f"{list(alpha)} has 2^{exponent} {what}, past the budget "
+                         f"of {MAX_REFINEMENTS}")
+
+
 def coarsenings(alpha):
-    """All compositions that alpha refines (merge any adjacent runs)."""
+    """All compositions that alpha refines (merge any adjacent runs);
+    refused past MAX_REFINEMENTS."""
+    alpha = tuple(alpha)
+    _check_listing(max(len(alpha) - 1, 0), "coarsenings", alpha)
     n = sum(alpha)
     inner = sorted(set_of(alpha))
-    for k in range(len(inner) + 1):
-        for keep in combinations(inner, k):
-            yield comp_of(keep, n)
+    return (comp_of(keep, n) for k in range(len(inner) + 1)
+            for keep in combinations(inner, k))
 
 
 def refinements(beta):
-    """All compositions refining beta, each part split independently."""
-    if not beta:
-        yield ()
-        return
-    for head in compositions(beta[0]):
-        for tail in refinements(beta[1:]):
-            yield head + tail
+    """All compositions refining beta, each part split independently;
+    refused past MAX_REFINEMENTS."""
+    beta = tuple(beta)
+    _check_listing(sum(beta) - len(beta), "refinements", beta)
+    return (sum(heads, ()) for heads in product(*map(compositions, beta)))
 
 
 def dominated(alpha, beta) -> bool:

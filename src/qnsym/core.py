@@ -11,7 +11,9 @@ H (complete homogeneous) and M (monomial) are the canonical bases of NSym
 and QSym; every other basis registers a pair of expansion maps to and from
 the canonical one, and all structural operations (products, coproducts,
 the pairing, involutions, the antipode) are computed canonically and
-converted back.
+converted back.  The involutions have closed forms there: rho reverses the
+index of H_a and M_a, psi(H_a) = E_a, psi(M_a) is a signed sum over the
+coarsenings of a, omega = rho psi, and the antipode is (-1)^degree omega.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -590,52 +592,60 @@ def rperp(h: Element, f: Element) -> Element:
 # ---------------------------------------------------------------------------
 # involutions and the antipode
 
-_INDEX_MAP = {
-    "psi": comps.complement,
-    "rho": comps.reverse,
-    "omega": comps.transpose,
-}
-
-# carrier bases on which each involution acts by reindexing
-_CARRIER = {NSYM: "R", QSYM: "F"}
-
 # preferred output basis for elements supported on a single basis
 _PARTNER = {
     "psi": {"H": "E", "E": "H", "sh": "rsh", "rsh": "sh", "fsh": "bsh", "bsh": "fsh",
             "sh*": "rsh*", "rsh*": "sh*", "fsh*": "bsh*", "bsh*": "fsh*"},
     "rho": {"sh": "fsh", "fsh": "sh", "rsh": "bsh", "bsh": "rsh",
             "sh*": "fsh*", "fsh*": "sh*", "rsh*": "bsh*", "bsh*": "rsh*"},
-    "omega": {"H": "E", "E": "H", "sh": "bsh", "bsh": "sh", "rsh": "fsh", "fsh": "rsh",
-              "sh*": "bsh*", "bsh*": "sh*", "rsh*": "fsh*", "fsh*": "rsh*"},
 }
+_PARTNER["omega"] = {t: _PARTNER["rho"].get(p, p) for t, p in _PARTNER["psi"].items()}
 
 
-def _on_carrier(x: Element, name: str, signed: bool, basis: str) -> Element:
-    """Reindex x on its ribbon/fundamental carrier by the involution `name`,
-    with the sign (-1)^degree if `signed`, and convert the image to `basis`."""
-    carrier = _CARRIER[x.algebra]
-    index_map = _INDEX_MAP[name]
-    mapped = {
-        (carrier, index_map(comp)): -coeff if signed and sum(comp) % 2 else coeff
-        for (_, comp), coeff in x.convert(carrier)._terms.items()
-    }
-    return Element._of(x.algebra, mapped).convert(basis)
+@lru_cache(maxsize=None)
+def _image(algebra: str, name: str, comp: tuple) -> tuple:
+    """The involution `name` of one canonical basis element, as canonical
+    (comp, int) pairs: rho reverses the index, psi(H_a) = E_a,
+    psi(M_a) = (-1)^(n - len a) times the sum of M over the coarsenings of
+    a, and omega = rho psi."""
+    if name == "rho":
+        return ((comps.reverse(comp), 1),)
+    if name == "omega":
+        return tuple((comps.reverse(c), v) for c, v in _image(algebra, "psi", comp))
+    if algebra == NSYM:
+        return _expand("E", comp)
+    sign = -1 if (sum(comp) - len(comp)) % 2 else 1
+    return tuple((gamma, sign) for gamma in comps.coarsenings(comp))
+
+
+def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
+    """x under the involution `name`, with the sign (-1)^degree if `signed`,
+    term by term through `_image` on the canonical basis, then in `basis`."""
+    out = {}
+    for comp, coeff in x.canonical_dict().items():
+        if signed and sum(comp) % 2:
+            coeff = -coeff
+        for c, v in _image(x.algebra, name, comp):
+            out[c] = out.get(c, 0) + coeff * v
+    canonical = CANONICAL[x.algebra]
+    return Element._of(x.algebra, {(canonical, c): v for c, v in out.items()}).convert(basis)
 
 
 def involution(name: str, x: Element, basis=None) -> Element:
     """Apply psi, rho, or omega; the result is converted to `basis` if given,
     else to the natural partner of x's basis (or the canonical basis)."""
-    if name not in _INDEX_MAP:
+    if name not in _PARTNER:
         raise ValueError(f"unknown involution {name!r}")
     if basis is None:
         support = x.support_basis()
         basis = _PARTNER[name].get(support, support) or CANONICAL[x.algebra]
-    return _on_carrier(x, name, False, basis)
+    return _involute(x, name, False, basis)
 
 
 def antipode(x: Element, basis=None) -> Element:
-    """The Hopf antipode: (-1)^degree times omega on the carrier."""
-    return _on_carrier(x, "omega", True, basis or x.support_basis() or CANONICAL[x.algebra])
+    """The Hopf antipode: (-1)^degree times omega, in closed form on the
+    canonical basis."""
+    return _involute(x, "omega", True, basis or x.support_basis() or CANONICAL[x.algebra])
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,19 @@ number of shin tableaux of shape C[i] and type C[j],
 and K[i][j] is the number of chains of strips, of sizes C[j]_1, C[j]_2, ...,
 that build C[i] (the right Pieri rule sh_a H_r = sum of sh over the strip
 extensions of a by r boxes).  K is unitriangular, so sh->H inverts it in
-the integers, pivoting only on units.  The other pairs are its
-images psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a), omega(sh_a) = bsh_rev(a)
-(starred alike); their own tableau counts are the oracle of `verify
-tableaux`.  On top of the bases live the Pieri rules, the beth creation
-operators, Jacobi-Trudi expansions, ribbon multiplication, skew and skew-II
-functions, structure coefficients, coproduct formulas, and the bridge to
-symmetric functions.
+the integers, pivoting only on units.  The other pairs are its images
+psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a) and rho(rsh_a) = bsh_rev(a)
+(starred alike; `verify` checks omega(sh_a) = bsh_rev(a)), and their own
+tableau counts are the oracle of `verify tableaux`.  On top of the bases
+live the Pieri rules, the beth creation operators, Jacobi-Trudi expansions,
+ribbon multiplication, skew and skew-II functions, structure coefficients,
+coproduct formulas, and the bridge to symmetric functions.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from itertools import permutations
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -75,18 +74,18 @@ def _shin_reader(inverse: bool, column: bool):
     return read
 
 
-def _transported(name: str, shin_token: str):
-    """Expand/unexpand maps of X, the partner of shin_token under `name`:
-    X_a = name(shin_token[fix(a)]), fix reversing a for rho and omega."""
-    canonical = core.CANONICAL[core.algebra_of(shin_token)]
+def _transported(name: str, source: str):
+    """Expand/unexpand maps of X, the partner of `source` under `name`:
+    X_a = name(source[fix(a)]), fix reversing a for rho and omega."""
+    canonical = core.CANONICAL[core.algebra_of(source)]
     fix = tuple if name == "psi" else comps.reverse
 
     def expand(comp):
-        image = core.involution(name, term(shin_token, fix(comp)), basis=canonical)
+        image = core.involution(name, term(source, fix(comp)), basis=canonical)
         return image.canonical_dict()
 
     def unexpand(comp):
-        image = core.involution(name, term(canonical, comp), basis=shin_token)
+        image = core.involution(name, term(canonical, comp), basis=source)
         return {fix(c): v for (_, c), v in image.terms.items()}
 
     return expand, unexpand
@@ -94,15 +93,17 @@ def _transported(name: str, shin_token: str):
 
 def register_bases() -> None:
     """Install the eight Schur-like bases into the conversion registry:
-    sh and sh* from the shin tableau counts, the other six by transport."""
+    sh and sh* from the shin tableau counts, the other six by transport.
+    rho only reverses indices of H and M, so only rsh and rsh* pay for psi;
+    this order fixes the order terms print in."""
     if "sh" in core.bases():
         return
     core.register_basis("sh", NSYM, _shin_reader(True, True), _shin_reader(False, True))
     core.register_basis("sh*", QSYM, _shin_reader(False, False), _shin_reader(True, False))
-    for name in ("psi", "rho", "omega"):
-        for shin_token, algebra in (("sh", NSYM), ("sh*", QSYM)):
-            core.register_basis(core._PARTNER[name][shin_token], algebra,
-                                *_transported(name, shin_token))
+    for name, source in (("psi", "sh"), ("psi", "sh*"), ("rho", "sh"), ("rho", "sh*"),
+                         ("rho", "rsh"), ("rho", "rsh*")):
+        core.register_basis(core._PARTNER[name][source], core.algebra_of(source),
+                            *_transported(name, source))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +173,18 @@ class RestrictedPermutation(NamedTuple):
 
 @lru_cache(maxsize=None)
 def restricted_permutations(k: int) -> tuple:
-    """All permutations sigma of {1..k} with sigma(i) >= i-1."""
-    return tuple(
-        RestrictedPermutation(p)
-        for p in permutations(range(1, k + 1))
-        if all(p[i] >= i for i in range(k))
-    )
+    """All permutations sigma of {1..k} with sigma(i) >= i-1, in lex order,
+    grown position by position (2**(k-1) of them, not a filter over k!):
+    value i-1 may sit no later than position i, so there it goes if still
+    unused, and otherwise position i takes each unused value in turn."""
+    perms = [()]
+    for i in range(1, k + 1):
+        grown = []
+        for p in perms:
+            left = set(range(1, k + 1)).difference(p)
+            grown += [p + (v,) for v in ((i - 1,) if i - 1 in left else sorted(left))]
+        perms = grown
+    return tuple(map(RestrictedPermutation, perms))
 
 
 def jacobi_trudi(family: str, beta) -> Element:
@@ -495,31 +502,28 @@ def _kostka_solve(column: bool):
     """Invert `_kostka_reader(column)` in the integers: given a, find d with
     sum_i d_i line_i = a, where line_i is the row (m -> s) or the column
     (s -> h) of K that the reader adds for index i.  K is unitriangular,
-    lower in the partition order, so d comes by substitution: rows back
-    from the last, columns forward from the first."""
+    lower in the partition order, so d comes by peeling: walk the
+    partitions down (rows) or up (columns), and at each lam still in a set
+    d_lam = a_lam and subtract a_lam * line_lam.  Only the lines of the
+    indices met are read; one with the wrong diagonal, or with an entry on
+    the wrong side of it, raises."""
     def solve(coeffs):
         out = {}
-        for n, piece in _by_degree(coeffs).items():
+        for n, a in _by_degree(coeffs).items():
             ps = comps.partitions(n)
             kost = kostka_matrix(n)
             lines = tuple(zip(*kost)) if column else kost
-            a = [piece.get(mu, 0) for mu in ps]
-            d = [0] * len(ps)
-            done = []
             for i in (range(len(ps)) if column else reversed(range(len(ps)))):
-                if lines[i][i] != 1:
+                c = a.get(ps[i])
+                if not c:
+                    continue
+                line = lines[i]
+                if line[i] != 1 or any(line[:i] if column else line[i + 1:]):
                     raise ArithmeticError("Kostka matrix is not unitriangular")
-                d[i] = a[i] - sum(d[k] * lines[k][i] for k in done)
-                done.append(i)
-            # verify the full system, not just the triangular part
-            for j in range(len(ps)):
-                if sum(d[i] * lines[i][j] for i in range(len(ps))) != a[j]:
-                    raise ArithmeticError(
-                        f"{'s' if column else 'm'}-expansion is not in the span of "
-                        f"{'h' if column else 'Schur'} functions")
-            for i, lam in enumerate(ps):
-                if d[i]:
-                    out[lam] = d[i]
+                out[ps[i]] = c
+                for mu, v in zip(ps, line):
+                    if v:
+                        a[mu] = a.get(mu, 0) - c * v
         return out
 
     return solve

@@ -363,20 +363,6 @@ def kappa_matrix(family: str, n: int) -> tuple:
     return tuple(tuple(count_K(family, a, b) for b in cs) for a in cs)
 
 
-@lru_cache(maxsize=None)
-def ell_matrix(family: str, n: int) -> tuple:
-    """L[i][j] = #standard tableaux of shape C[i] with descent composition C[j]."""
-    cs = comps.compositions(n)
-    where = {c: j for j, c in enumerate(cs)}
-    out = []
-    for a in cs:
-        row = [0] * len(cs)
-        for t in enumerate_standard(straight(a), family):
-            row[where[descent_composition(t)]] += 1
-        out.append(tuple(row))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # shin strips and the box-adding order on compositions
 

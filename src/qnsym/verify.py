@@ -56,9 +56,38 @@ def check_duality(max_degree, rng):
     return cases, failures
 
 
+# The carrier route, kept as the oracle of the closed forms in `core`: on
+# the ribbon basis R of NSym and the fundamental basis F of QSym each
+# involution reindexes, by complement, reversal or transpose.
+_CARRIER = {core.NSYM: "R", core.QSYM: "F"}
+_INDEX_MAP = {"psi": comps.complement, "rho": comps.reverse, "omega": comps.transpose}
+
+
+def on_carrier(name, x, signed=False):
+    """The image of x under the involution `name`, with the sign
+    (-1)^degree if `signed` (the antipode is signed omega), computed by
+    converting x to its carrier and reindexing each term there."""
+    carrier = _CARRIER[x.algebra]
+    return core.Element._of(x.algebra, {
+        (carrier, _INDEX_MAP[name](comp)): -coeff if signed and sum(comp) % 2 else coeff
+        for (_, comp), coeff in x.convert(carrier).terms.items()})
+
+
 def check_involutions(max_degree, rng):
     cases, failures = 0, []
     names = ("psi", "rho", "omega")
+
+    # the closed forms against the carrier route, on every basis element
+    for tok in core.bases():
+        for n in range(max_degree + 1):
+            for a in comps.compositions(n):
+                x = term(tok, a)
+                routes = [(name, involution(name, x), on_carrier(name, x)) for name in names]
+                routes.append(("antipode", antipode(x), on_carrier("omega", x, signed=True)))
+                for label, got, want in routes:
+                    cases += 1
+                    if got != want:
+                        failures.append(f"{label}({tok}{list(a)}) differs from the carrier route")
 
     # involutivity and the composition law, on both carrier bases
     for n in range(max_degree + 1):

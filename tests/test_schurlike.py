@@ -168,6 +168,20 @@ def test_restricted_permutations():
     assert len(sl.restricted_permutations(5)) == 16  # 2^(k-1)
 
 
+def _restricted_permutations_by_filter(k):
+    """The earlier route, kept as the reference: filter all k! permutations."""
+    from itertools import permutations
+
+    return tuple(p for p in permutations(range(1, k + 1)) if all(p[i] >= i for i in range(k)))
+
+
+def test_restricted_permutations_match_the_filter():
+    for k in range(9):
+        got = tuple(p.values for p in sl.restricted_permutations(k))
+        assert got == _restricted_permutations_by_filter(k), k
+        assert len(got) == 2 ** max(k - 1, 0)
+
+
 def test_jacobi_trudi_shin():
     got = sl.jacobi_trudi("sh", (1, 3, 4))
     assert got == term("sh", (1, 3, 4)).convert("H")
@@ -468,13 +482,26 @@ def test_shin_structure_constants_lift_lr():
 
 # --- K/L expansions -------------------------------------------------------------
 
+def ell_matrix(family, n):
+    """L[i][j] = #standard tableaux of shape C[i] with descent composition C[j]."""
+    cs = comps.compositions(n)
+    where = {c: j for j, c in enumerate(cs)}
+    out = []
+    for a in cs:
+        row = [0] * len(cs)
+        for t in tab.enumerate_standard(tab.straight(a), family):
+            row[where[tab.descent_composition(t)]] += 1
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def test_h_and_r_expand_by_tableau_counts():
     for fam in tab.FAMILIES:
         ntok = sl.NSYM_TOKEN[fam]
         for n in range(5):
             cs = comps.compositions(n)
             kappa = tab.kappa_matrix(fam, n)
-            ell = tab.ell_matrix(fam, n)
+            ell = ell_matrix(fam, n)
             for j, beta in enumerate(cs):
                 h = term("H", beta).convert(ntok)
                 r = term("R", beta).convert(ntok)
@@ -550,6 +577,89 @@ def test_tableau_suite_reports_a_wrong_row_strict_count(monkeypatch):
     assert failures
     assert all(f.startswith("row_strict K[[1, 1, 1]][[3]] = 2 ") for f in failures), failures
     assert {"H -> rsh" in f for f in failures} == {True, False}
+
+
+# --- the involutions in closed form ----------------------------------------------
+
+INVOLUTIONS = ("psi", "rho", "omega")
+
+
+def test_involutions_and_antipode_match_the_carrier_route():
+    from qnsym import verify
+
+    for tok in core.bases():
+        for a in comps_upto(6):
+            x = term(tok, a)
+            for name in INVOLUTIONS:
+                got = involution(name, x)
+                assert got == verify.on_carrier(name, x), (name, tok, a)
+                assert got.support_basis() in (None, core._PARTNER[name].get(tok, tok))
+            assert antipode(x) == verify.on_carrier("omega", x, signed=True), (tok, a)
+
+
+def test_involutions_and_antipode_never_convert_through_r_or_f(monkeypatch):
+    def refuse(comp):
+        raise AssertionError("converted through a ribbon/fundamental carrier")
+
+    for carrier in ("R", "F"):
+        info = core._REGISTRY[carrier]
+        monkeypatch.setitem(core._REGISTRY, carrier, info._replace(expand=refuse,
+                                                                   unexpand=refuse))
+    core._image.cache_clear()
+    _clear_conversion_caches()
+    tokens = ("H", "M", "E") + tuple(sl.NSYM_TOKEN.values()) + tuple(sl.QSYM_TOKEN.values())
+    try:
+        images = {(name, tok, a): (antipode(x) if name == "S" else involution(name, x))
+                  for tok in tokens for a in comps_upto(6) for x in (term(tok, a),)
+                  for name in INVOLUTIONS + ("S",)}
+    finally:
+        monkeypatch.undo()
+        _clear_conversion_caches()
+    from qnsym import verify
+
+    for (name, tok, a), got in images.items():
+        want = verify.on_carrier("omega" if name == "S" else name, term(tok, a),
+                                 signed=name == "S")
+        assert got == want, (name, tok, a)
+
+
+def test_involution_suite_reports_a_wrong_closed_form(monkeypatch):
+    from qnsym import verify
+
+    true_image = core._image
+
+    def unsigned_psi(algebra, name, comp):
+        if (algebra, name) == (core.QSYM, "psi"):
+            return tuple((gamma, 1) for gamma in comps.coarsenings(comp))
+        return true_image(algebra, name, comp)
+
+    monkeypatch.setattr(core, "_image", unsigned_psi)
+    true_image.cache_clear()
+    _clear_conversion_caches()
+    try:
+        failures = verify.verify("involutions", max_degree=3).failures
+    finally:
+        monkeypatch.undo()
+        true_image.cache_clear()
+        _clear_conversion_caches()
+    assert "psi(M[2]) differs from the carrier route" in failures
+    # M[1, 1] has no sign to lose, and NSym keeps its closed form
+    assert not any("(M[1, 1])" in f or "(H[" in f or "(E[" in f for f in failures)
+
+
+def test_kostka_solve_refuses_a_matrix_that_is_not_triangular(monkeypatch):
+    true_kostka = sl.kostka_matrix
+
+    def upper_entry(n):
+        rows = [list(row) for row in true_kostka(n)]
+        rows[0][-1] = 1  # K[1^n][n]: above the diagonal
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(sl, "kostka_matrix", upper_entry)
+    with pytest.raises(ArithmeticError):
+        sl._m_to_s({(1, 1, 1): 1})
+    with pytest.raises(ArithmeticError):
+        sl._s_to_h({(1, 1, 1): 1})
 
 
 def test_to_qsym_writes_each_rearrangement_once():
@@ -686,7 +796,7 @@ def test_sym_bridge_enumerates_no_permutation_and_no_tableau(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("permutations or tableaux enumerated on the Sym path")
 
-    monkeypatch.setattr(sl, "permutations", refuse)
+    monkeypatch.setattr(sl, "permutations", refuse, raising=False)
     monkeypatch.setattr(tab, "_backtrack", refuse)
     sl.kostka_matrix.cache_clear()
     try:
