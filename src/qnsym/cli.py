@@ -17,7 +17,6 @@ import sys
 from . import core
 from . import schurlike as sl
 from . import tableaux as tab
-from . import verify as verify_mod
 from .core import Element, antipode, coproduct, involution, multiply, pair, term
 
 
@@ -320,6 +319,10 @@ def cmd_transition_matrix(args):
 
 
 def cmd_verify(args):
+    if args.max_degree is not None and args.max_degree < 1:
+        raise CLIError(2, f"--max-degree must be at least 1, got {args.max_degree}")
+    from . import verify as verify_mod  # the suites load only when asked for
+
     if args.identity is None:
         names = sorted(verify_mod.IDENTITIES)
     else:

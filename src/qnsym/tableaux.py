@@ -28,8 +28,8 @@ boxes (`strip_chain_counts`), and no tableau is enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import compositions as comps
 
@@ -64,8 +64,9 @@ def _check_family(family: str) -> str:
     return family
 
 
-@dataclass(frozen=True)
-class Shape:
+# Shape and Tableau are NamedTuples rather than frozen dataclasses: importing
+# dataclasses pulls inspect, ast and dis into every CLI start.
+class Shape(NamedTuple):
     kind: str  # "straight" | "skew" | "skew2"
     outer: tuple
     inner: tuple = ()
@@ -136,8 +137,7 @@ def is_chain_legal(shape: Shape) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     family: str
     shape: Shape
     rows: tuple  # one tuple of entries per row of outer, removed boxes omitted

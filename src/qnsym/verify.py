@@ -103,9 +103,10 @@ def check_involutions(max_degree, rng):
                         involution("omega", x) != involution("rho", involution("psi", x)):
                     failures.append(f"omega != psi.rho on {tok}{list(a)}")
 
-    # multiplicativity / anti-multiplicativity, seeded random pairs
+    # multiplicativity / anti-multiplicativity, seeded random pairs; below
+    # degree 2 no product of two nonempty indices fits
     pool = [c for c in _comps_through(max_degree - 1) if c]
-    for _ in range(60):
+    for _ in range(60 if pool else 0):
         a, b = rng.choice(pool), rng.choice(pool)
         if sum(a) + sum(b) > max_degree:
             continue

@@ -235,18 +235,76 @@ def test_verify_timing_goes_to_stderr(capsys):
     assert "0." in captured.err and "0." not in captured.out
 
 
-def test_module_entry_point_runs_the_cli():
+def _python(*argv):
+    """Run a fresh interpreter with the source tree on its path."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
-    def module(*argv):
-        return subprocess.run([sys.executable, "-m", "qnsym.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
 
-    done = module("expand", "--basis", "H", "sh[3,2]")
-    assert (done.returncode, done.stdout) == (0, "H[3,2] - H[4,1]\n")
-    assert module("expand", "--basis", "nope", "sh[3,2]").returncode == 2
+def test_module_entry_point_runs_the_cli():
+    for module in ("qnsym", "qnsym.cli"):
+        for argv in (["expand", "sh[3,2]"], ["expand", "--basis", "H", "sh[3,2]"]):
+            done = _python("-m", module, *argv)
+            assert (done.returncode, done.stdout) == (0, "H[3,2] - H[4,1]\n")
+        assert _python("-m", module, "expand", "--basis", "nope", "sh[3,2]").returncode == 2
+
+
+def test_cli_import_loads_no_suite_and_no_dataclasses():
+    done = _python("-c", "import sys, qnsym.cli; print(sorted(m for m in "
+                         "('qnsym.verify', 'dataclasses', 'inspect') if m in sys.modules))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+    # the suites still load on demand
+    done = _python("-c", "import sys, qnsym.cli; sys.exit(qnsym.cli.run(["
+                         "'verify', '--identity', 'duality', '--max-degree', '2']))")
+    assert done.returncode == 0 and done.stdout.startswith("duality: degrees <= 2, ")
+
+
+def test_verify_sweeps_degree_1(capsys):
+    assert cli.run(["verify", "--identity", "involutions", "--max-degree", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("involutions: degrees <= 1, ") and out.endswith(" cases, ok\n")
+    assert " 0 cases" not in out
+    assert cli.run(["verify", "--max-degree", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.endswith(" cases, ok") for line in lines)
+    assert not any(" 0 cases" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-degree", "-1"],
+    ["verify", "--identity", "involutions", "--max-degree", "0"],
+    ["verify", "--identity", "jt-vs-pieri", "--max-degree", "0"],
+    ["verify", "--identity", "schur-bridge", "--max-degree", "0"],
+])
+def test_verify_refuses_a_degree_below_1(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--max-degree must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["tableaux", "enumerate", "--json", "--family", "shin", "2,2", "--type", "1,1,2"],
+     '[{"shape": {"kind": "straight", "outer": [2, 2], "inner": []}, '
+     '"family": "shin", "rows": [[1, 2], [3, 3]]}]\n'),
+    (["tableaux", "enumerate", "--json", "--standard", "--family", "backward", "3,1",
+      "--inner", "1"],
+     '[{"shape": {"kind": "skew", "outer": [3, 1], "inner": [1]}, '
+     '"family": "backward", "rows": [[2, 1], [3]]}, '
+     '{"shape": {"kind": "skew", "outer": [3, 1], "inner": [1]}, '
+     '"family": "backward", "rows": [[3, 1], [2]]}, '
+     '{"shape": {"kind": "skew", "outer": [3, 1], "inner": [1]}, '
+     '"family": "backward", "rows": [[3, 2], [1]]}]\n'),
+    (["poset-chains", "--json", "1", "2,1"],
+     "[[[1], [1, 1], [2, 1]], [[1], [2], [2, 1]]]\n"),
+])
+def test_tableau_json_is_byte_stable(capsys, argv, expected):
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == expected

@@ -68,6 +68,21 @@ def test_shape_removed_and_cells():
     assert tab.straight((2, 1)).removed == (0, 0)
 
 
+def test_shapes_and_tableaux_are_immutable_values():
+    shape = tab.straight((2, 2))
+    assert shape.inner == () and shape == tab.Shape("straight", (2, 2))
+    found = tab.enumerate_tableaux(shape, "shin", (1, 1, 2))
+    again = tab.enumerate_tableaux(tab.straight((2, 2)), "shin", (1, 1, 2))
+    assert len(set(found)) == len(found) and set(found) == set(again)
+    standard = tab.enumerate_standard(tab.skew((3, 1), (1,)), "backward")
+    assert len(standard) == 3 and len(set(standard)) == len(standard)
+    with pytest.raises(AttributeError):
+        shape.inner = (1,)
+    with pytest.raises(AttributeError):
+        found[0].rows = ()
+    assert found[0].rows == ((1, 2), (3, 3))
+
+
 def test_shape_containment_errors():
     with pytest.raises(ValueError):
         tab.skew((2, 1), (3,))
