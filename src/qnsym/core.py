@@ -614,8 +614,7 @@ def _image(algebra: str, name: str, comp: tuple) -> tuple:
         return tuple((comps.reverse(c), v) for c, v in _image(algebra, "psi", comp))
     if algebra == NSYM:
         return _expand("E", comp)
-    sign = -1 if (sum(comp) - len(comp)) % 2 else 1
-    return tuple((gamma, sign) for gamma in comps.coarsenings(comp))
+    return tuple(_psi_M(comp).items())
 
 
 def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
@@ -678,43 +677,35 @@ def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix
 # ---------------------------------------------------------------------------
 # the five classical bases
 
-def _signed_refinements(comp):
-    """E in H and H in E alike: sum of (-1)^(n - len) over refinements."""
-    n = sum(comp)
-    out = {}
-    for beta in comps.refinements(comp):
-        out[beta] = out.get(beta, 0) + (-1) ** (n - len(beta))
-    return out
+def _signed(listing, sign):
+    """The map a -> {g: (-1)^sign(a, g) for each g in listing(a)}.  Both
+    ways of E <-> H, R <-> H and F <-> M, and psi(M_a), are such signed
+    listings of refinements or coarsenings."""
+    def image(comp):
+        return {g: -1 if sign(comp, g) % 2 else 1 for g in listing(comp)}
+
+    return image
 
 
-def _expand_R(comp):
-    out = {}
-    for beta in comps.coarsenings(comp):
-        out[beta] = out.get(beta, 0) + (-1) ** (len(comp) - len(beta))
-    return out
+def _length_gap(a, g):
+    return len(a) - len(g)
 
 
-def _unexpand_R(comp):
-    return {alpha: 1 for alpha in comps.coarsenings(comp)}
-
-
-def _expand_F(comp):
-    return {beta: 1 for beta in comps.refinements(comp)}
-
-
-def _unexpand_F(comp):
-    out = {}
-    for beta in comps.refinements(comp):
-        out[beta] = out.get(beta, 0) + (-1) ** (len(beta) - len(comp))
-    return out
+def _unsigned(a, g):
+    return 0
 
 
 def _identity_expand(comp):
     return {tuple(comp): 1}
 
 
+_E_H = _signed(comps.refinements, lambda a, g: sum(a) - len(g))
+_psi_M = _signed(comps.coarsenings, lambda a, g: sum(a) - len(a))
+
 register_basis("H", NSYM, _identity_expand, _identity_expand)
 register_basis("M", QSYM, _identity_expand, _identity_expand)
-register_basis("E", NSYM, _signed_refinements, _signed_refinements)
-register_basis("R", NSYM, _expand_R, _unexpand_R)
-register_basis("F", QSYM, _expand_F, _unexpand_F)
+register_basis("E", NSYM, _E_H, _E_H)
+register_basis("R", NSYM, _signed(comps.coarsenings, _length_gap),
+               _signed(comps.coarsenings, _unsigned))
+register_basis("F", QSYM, _signed(comps.refinements, _unsigned),
+               _signed(comps.refinements, _length_gap))

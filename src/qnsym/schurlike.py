@@ -128,10 +128,7 @@ def pieri(family: str, alpha, r: int, side=None, generator=None) -> Element:
         betas = tuple(
             comps.reverse(b) for b in tab.strip_extensions(comps.reverse(alpha), r)
         )
-    out = core.zero(NSYM)
-    for beta in betas:
-        out = out + term(tok, beta)
-    return out
+    return Element._of(NSYM, {(tok, beta): 1 for beta in betas})
 
 
 def beth(m: int, x: Element) -> Element:
@@ -215,14 +212,15 @@ def jacobi_trudi(family: str, beta) -> Element:
             )
         base = comps.reverse(beta)
         flip_words = True
+    comps._check_listing(k - 1, "restricted permutations", beta)
     gen = "H" if family in ("shin", "flipped") else "E"
-    out = core.zero(NSYM)
+    out = {}  # the parts of base are distinct, so no two permutations share a word
     for sigma in restricted_permutations(k):
         word = tuple(base[s - 1] for s in sigma.values)
         if flip_words:
             word = comps.reverse(word)
-        out = out + sigma.sign * term(gen, word)
-    return out
+        out[gen, word] = sigma.sign
+    return Element._of(NSYM, out)
 
 
 @lru_cache(maxsize=None)
@@ -417,19 +415,17 @@ class SymElement(core._Combination):
         return detected
 
     def to_basis(self, target: str) -> "SymElement":
+        """Convert through s: source -> s -> target."""
         if target == self._space:
             return self
-        route = {
-            ("s", "m"): _s_to_m,
-            ("h", "s"): _h_to_s,
-            ("h", "m"): lambda c: _s_to_m(_h_to_s(c)),
-            ("m", "s"): _m_to_s,
-            ("s", "h"): _s_to_h,
-            ("m", "h"): lambda c: _s_to_h(_m_to_s(c)),
-        }.get((self._space, target))
-        if route is None:
+        if target not in ("m", "h", "s"):
             raise ValueError(f"no conversion from {self._space} to {target}")
-        return SymElement._of(target, route(self._terms))
+        coeffs = self._terms
+        if self._space != "s":
+            coeffs = _TO_S[self._space](coeffs)
+        if target != "s":
+            coeffs = _FROM_S[target](coeffs)
+        return SymElement._of(target, coeffs)
 
     def to_qsym(self) -> Element:
         """The M-expansion: m_lam is the sum of M over the distinct
@@ -445,26 +441,11 @@ def kostka_matrix(n: int) -> tuple:
 
     On a partition shape an SSYT is a shin tableau, its entries up to each
     value fill a partition, and between two partitions a shin strip is a
-    horizontal strip.  So column mu counts the shin strip chains of mu
-    (`tab.strip_extensions`, as in `tab.strip_chain_counts`) kept on
-    partition shapes, memoised on the prefixes of mu; `tab.count_K`, which
-    backtracks over fillings, is the oracle.
+    horizontal strip.  So column mu counts the shin strip chains of mu kept
+    on partition shapes (`tab.chain_matrix`, which also builds the shin K);
+    `tab.count_matrix`, which backtracks over fillings, is the oracle.
     """
-    ps = comps.partitions(n)
-    chains = {(): {(): 1}}
-
-    def column(mu):
-        if mu not in chains:
-            counts = {}
-            for gamma, c in column(mu[:-1]).items():
-                for delta in tab.strip_extensions(gamma, mu[-1]):
-                    if comps.is_partition(delta):
-                        counts[delta] = counts.get(delta, 0) + c
-            chains[mu] = counts
-        return chains[mu]
-
-    columns = [column(mu) for mu in ps]
-    return tuple(tuple(col.get(lam, 0) for col in columns) for lam in ps)
+    return tab.chain_matrix(comps.partitions(n), comps.is_partition)
 
 
 def _by_degree(coeffs):
@@ -531,6 +512,8 @@ def _kostka_solve(column: bool):
 
 _m_to_s = _kostka_solve(column=False)
 _s_to_h = _kostka_solve(column=True)
+_TO_S = {"m": _m_to_s, "h": _h_to_s}
+_FROM_S = {"m": _s_to_m, "h": _s_to_h}
 
 
 def forgetful_chi(x: Element) -> SymElement:
@@ -573,16 +556,9 @@ def schur_detect(f: Element):
 
 
 def littlewood_richardson(mu, nu) -> dict:
-    """LR coefficients via the QSym embedding: multiply s_mu s_nu as
-    quasisymmetric functions and read the product back into Schur terms."""
-    mu, nu = tuple(mu), tuple(nu)
-    product = multiply(
-        SymElement("s", {mu: 1}).to_qsym(), SymElement("s", {nu: 1}).to_qsym()
-    )
-    detected = schur_detect(product)
-    if detected is None:
-        raise ArithmeticError("product of Schur functions failed to be symmetric")
-    return dict(detected.coeffs)
+    """LR coefficients: the Schur terms of s_mu * s_nu, which multiplies
+    through the QSym embedding (`SymElement._product`)."""
+    return dict((SymElement("s", {tuple(mu): 1}) * SymElement("s", {tuple(nu): 1})).coeffs)
 
 
 register_bases()

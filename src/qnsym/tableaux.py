@@ -17,13 +17,14 @@ flipped     weakly decreasing     strictly increasing bottom up, R-L  i+1 strict
 backward    strictly decreasing   weakly increasing   top down,  R-L  i+1 weakly above
 
 K matrices (tableaux of straight shape alpha and type beta) are counted two
-ways.  `count_K` backtracks over fillings, for every family; it counts the
-row-strict, flipped and backward matrices, and it is the oracle for the
-strip-chain counts of the shin matrix and of `schurlike.kostka_matrix`.
-The shin matrix, which builds the bases, is read off strip chains instead: in a shin tableau the entries equal to v
-fill a strip over the entries below v, so K[alpha][beta] is the number of
-chains () = g0 < g1 < ... < gk = alpha whose i-th step is a strip of beta_i
-boxes (`strip_chain_counts`), and no tableau is enumerated.
+ways, and the two share no code.  `count_matrix` backtracks over fillings
+(`count_K`), for every family; it counts the row-strict, flipped and
+backward matrices, and it is the oracle of the other way.  `chain_matrix`
+reads a matrix off strip chains and enumerates no tableau: in a shin
+tableau the entries equal to v fill a strip over the entries below v, so
+K[alpha][beta] is the number of chains () = g0 < g1 < ... < gk = alpha whose
+i-th step is a strip of beta_i boxes.  It builds the shin matrix and, kept
+on partition shapes, the Kostka matrix (`schurlike.kostka_matrix`).
 """
 
 from __future__ import annotations
@@ -349,18 +350,20 @@ def count_K(family: str, alpha, beta) -> int:
     return count_tableaux(straight(alpha), family, beta)
 
 
+def count_matrix(family: str, indices) -> tuple:
+    """K[i][j] = count_K(family, indices[i], indices[j]), by backtracking."""
+    return tuple(tuple(count_K(family, a, b) for b in indices) for a in indices)
+
+
 @lru_cache(maxsize=None)
 def kappa_matrix(family: str, n: int) -> tuple:
     """K[i][j] = #tableaux of shape C[i] and type C[j], C = compositions(n).
 
-    The shin matrix is read off strip chains (`strip_chain_counts`); the
-    other families are counted tableau by tableau (`count_K`).
+    The shin matrix is read off strip chains (`chain_matrix`); the other
+    families are counted tableau by tableau (`count_matrix`).
     """
     cs = comps.compositions(comps.check_dense_degree(n))
-    if family == "shin":
-        columns = strip_chain_counts(n)
-        return tuple(tuple(columns[b].get(a, 0) for b in cs) for a in cs)
-    return tuple(tuple(count_K(family, a, b) for b in cs) for a in cs)
+    return chain_matrix(cs) if family == "shin" else count_matrix(family, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +411,32 @@ def strip_extensions(alpha, r: int) -> tuple:
     return tuple(sorted(found))
 
 
-def strip_chain_counts(n: int) -> dict:
-    """Column beta of the shin K matrix, as {alpha: K[alpha][beta]}, for
-    every composition beta of size at most n, memoised on prefixes:
+def chain_matrix(indices, keep=None) -> tuple:
+    """K[i][j] = the number of chains () = g0 < g1 < ... < gk = indices[i]
+    whose t-th step is a strip of indices[j][t] boxes, every g passing
+    `keep` if given: the paper's right Pieri rule sh_a H_r read column by
+    column.  Columns are memoised on prefixes and strip lists on (g, r):
 
-        chains(beta) = sum over gamma in chains(beta[:-1])
-                       of strip_extensions(gamma, beta[-1]),
-
-    the paper's right Pieri rule sh_a H_r read column by column.
+        chains(beta) = sum over g in chains(beta[:-1])
+                       of strip_extensions(g, beta[-1]).
     """
-    chains = {(): {(): 1}}
-    strips = {}
-    for m in range(1, n + 1):
-        for beta in comps.compositions(m):
-            r, counts = beta[-1], {}
-            for gamma, c in chains[beta[:-1]].items():
+    chains, strips = {(): {(): 1}}, {}
+    for beta in indices:
+        for k in range(1, len(beta) + 1):
+            prefix = tuple(beta[:k])
+            if prefix in chains:
+                continue
+            r, counts = prefix[-1], {}
+            for gamma, c in chains[prefix[:-1]].items():
                 ext = strips.get((gamma, r))
                 if ext is None:
-                    ext = strips[gamma, r] = strip_extensions(gamma, r)
+                    ext = strip_extensions(gamma, r)
+                    ext = strips[gamma, r] = tuple(filter(keep, ext)) if keep else ext
                 for delta in ext:
                     counts[delta] = counts.get(delta, 0) + c
-            chains[beta] = counts
-    return chains
+            chains[prefix] = counts
+    columns = [chains[tuple(beta)] for beta in indices]
+    return tuple(tuple(col.get(alpha, 0) for col in columns) for alpha in indices)
 
 
 def poset_covers(alpha) -> tuple:

@@ -168,8 +168,7 @@ def check_jt_vs_pieri(max_degree, rng):
     cases, failures = 0, []
     for n in range(1, max_degree + 1):
         cs = comps.compositions(n)
-        inverse = core.exact_inverse(
-            [[tab.count_K("shin", a, b) for b in cs] for a in cs])
+        inverse = core.exact_inverse(tab.count_matrix("shin", cs))
         for j, beta in enumerate(cs):
             if not all(x < y for x, y in zip(beta, beta[1:])):
                 continue
@@ -254,8 +253,7 @@ def check_schur_bridge(max_degree, rng):
         # the strip-chain Kostka matrix against backtracking over fillings
         ps = comps.partitions(n)
         cases += 1
-        if sl.kostka_matrix(n) != tuple(
-                tuple(tab.count_K("shin", lam, mu) for mu in ps) for lam in ps):
+        if sl.kostka_matrix(n) != tab.count_matrix("shin", ps):
             failures.append(f"Kostka matrix at degree {n} differs from count_K")
     # structure constants on partition indices = independently computed LR
     for total in range(2, max_degree + 1):
@@ -317,13 +315,14 @@ def check_tableaux(max_degree, rng):
     # entry must equal the backtracking count
     for n in range(max_degree + 1):
         cs, kappa = comps.compositions(n), tab.kappa_matrix("shin", n)
+        oracle = tab.count_matrix("shin", cs)
         cases += 1
-        wrong = [(a, b, v) for a, row in zip(cs, kappa) for b, v in zip(cs, row)
-                 if v != tab.count_K("shin", a, b)]
+        wrong = [(i, j) for i, row in enumerate(kappa) for j, v in enumerate(row)
+                 if v != oracle[i][j]]
         if wrong:
-            a, b, v = wrong[0]
-            failures.append(f"shin K[{list(a)}][{list(b)}] = {v} from strip chains but "
-                            f"{tab.count_K('shin', a, b)} by backtracking, degree {n}")
+            i, j = wrong[0]
+            failures.append(f"shin K[{list(cs[i])}][{list(cs[j])}] = {kappa[i][j]} from strip "
+                            f"chains but {oracle[i][j]} by backtracking, degree {n}")
     # the other families' counts do not build their bases: each must equal
     # the shin matrix carried over by psi, rho or omega, read both ways
     for family in tab.FAMILIES[1:]:

@@ -197,6 +197,18 @@ def test_exponential_single_terms_fail_fast_with_exit_1(capsys, argv):
     assert "has 2^39 " in captured.err and "past the budget of 65536" in captured.err
 
 
+def test_jacobi_trudi_past_the_listing_budget_fails_fast_with_exit_1(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(["jacobi-trudi", "--family", "sh", ",".join(map(str, range(1, 19)))]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "has 2^17 restricted permutations, past the budget of 65536" in captured.err
+
+
 def test_skew_warning_not_on_stdout(capsys, recwarn):
     assert cli.run(["skew", "--family", "sh", "2,1", "1,2"]) == 0
     out = capsys.readouterr().out

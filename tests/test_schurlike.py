@@ -190,6 +190,36 @@ def test_jacobi_trudi_shin():
     }
 
 
+def test_jacobi_trudi_and_pieri_build_one_dict(monkeypatch):
+    """Both accumulate their words into one dict; adding one Element per
+    word copied the whole sum each time, quadratic in the output."""
+    beta = (1, 2, 3, 4, 5, 6)
+    want = (sl.pieri_elimination(beta), term("bsh", (3, 2, 1)).convert("E"),
+            multiply(term("sh", (2, 3, 1)), term("H", (2,)), basis="sh"))
+
+    def refuse(self, other):
+        raise AssertionError("an Element was added term by term")
+
+    monkeypatch.setattr(core._Combination, "__add__", refuse)
+    got = (sl.jacobi_trudi("sh", beta), sl.jacobi_trudi("bsh", (3, 2, 1)),
+           sl.pieri("sh", (2, 3, 1), 2))
+    monkeypatch.undo()
+    assert got == want
+    assert [len(x.terms) for x in got] == [32, 4, 6]
+
+
+def test_jacobi_trudi_refuses_more_than_the_budget_before_listing(monkeypatch):
+    def refuse(k):
+        raise AssertionError("restricted permutations listed past the budget")
+
+    monkeypatch.setattr(sl, "restricted_permutations", refuse)
+    beta = tuple(range(1, 19))  # 2^17 restricted permutations
+    for family, index in (("sh", beta), ("fsh", comps.reverse(beta))):
+        with pytest.raises(ValueError, match="has 2\\^17 restricted permutations, "
+                                             "past the budget of 65536"):
+            sl.jacobi_trudi(family, index)
+
+
 def test_jacobi_trudi_all_families():
     incr = [b for b in comps_upto(7) if b and all(x < y for x, y in zip(b, b[1:]))]
     for beta in incr:

@@ -347,3 +347,53 @@ def test_dense_builders_refuse_a_degree_past_the_budget():
     for family in tab.FAMILIES:
         with pytest.raises(ValueError, match="budget"):
             tab.kappa_matrix(family, top + 1)
+
+
+def _strip_chain_counts(n):
+    """The earlier shin K route, kept as the reference: column beta of K as
+    {alpha: K[alpha][beta]}, for every composition beta of size <= n."""
+    chains = {(): {(): 1}}
+    strips = {}
+    for m in range(1, n + 1):
+        for beta in comps.compositions(m):
+            r, counts = beta[-1], {}
+            for gamma, c in chains[beta[:-1]].items():
+                ext = strips.get((gamma, r))
+                if ext is None:
+                    ext = strips[gamma, r] = tab.strip_extensions(gamma, r)
+                for delta in ext:
+                    counts[delta] = counts.get(delta, 0) + c
+            chains[beta] = counts
+    return chains
+
+
+def _kostka_by_column_dp(n):
+    """The earlier Kostka route, kept as the reference: strip chains kept on
+    partition shapes, columns memoised on prefixes, strips listed afresh."""
+    ps = comps.partitions(n)
+    chains = {(): {(): 1}}
+
+    def column(mu):
+        if mu not in chains:
+            counts = {}
+            for gamma, c in column(mu[:-1]).items():
+                for delta in tab.strip_extensions(gamma, mu[-1]):
+                    if comps.is_partition(delta):
+                        counts[delta] = counts.get(delta, 0) + c
+            chains[mu] = counts
+        return chains[mu]
+
+    columns = [column(mu) for mu in ps]
+    return tuple(tuple(col.get(lam, 0) for col in columns) for lam in ps)
+
+
+def test_chain_matrix_matches_the_earlier_shin_and_kostka_routes():
+    columns = _strip_chain_counts(10)
+    for n in range(11):
+        cs = comps.compositions(n)
+        want = tuple(tuple(columns[b].get(a, 0) for b in cs) for a in cs)
+        assert tab.chain_matrix(cs) == want, n
+    for n in range(15):
+        assert tab.chain_matrix(comps.partitions(n), comps.is_partition) == \
+            _kostka_by_column_dp(n), n
+
