@@ -11,9 +11,14 @@ H (complete homogeneous) and M (monomial) are the canonical bases of NSym
 and QSym; every other basis registers a pair of expansion maps to and from
 the canonical one, and all structural operations (products, coproducts,
 the pairing, involutions, the antipode) are computed canonically and
-converted back.  The involutions have closed forms there: rho reverses the
-index of H_a and M_a, psi(H_a) = E_a, psi(M_a) is a signed sum over the
-coarsenings of a, omega = rho psi, and the antipode is (-1)^degree omega.
+converted back.  A tensor converts one leg at a time: the left leg of
+every term, merged, then the right.  The involutions have closed forms on
+the canonical bases: rho reverses the index of H_a and M_a, psi(H_a) = E_a,
+psi(M_a) is a signed sum over the coarsenings of a, omega = rho psi, and
+the antipode is (-1)^degree omega.  A basis registered as the image of
+another (E = psi(H), and the Schur-like bases transported from shin) is
+reached from it by reindexing alone, so an involution into that partner
+basis, and the antipode, skip the canonical round trip.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -46,8 +51,38 @@ class _BasisInfo(NamedTuple):
 
 _REGISTRY: dict = {}
 
+# The reindexing involutions: name(X_a) = _PARTNER[name][X]_fix(a), with fix
+# = _FIX[name].  rho reverses the index of H_a and M_a; `register_basis`
+# adds each basis's stated image, and `_close_partners` the pairs they imply.
+_FIX = {"psi": tuple, "rho": comps.reverse, "omega": comps.reverse}
+_PARTNER = {"psi": {}, "rho": {"H": "H", "M": "M"}, "omega": {}}
 
-def register_basis(token: str, algebra: str, expand, unexpand) -> None:
+
+def _close_partners() -> None:
+    """Add every reindex that the recorded ones imply: each involution is its
+    own inverse, and any two of psi, rho, omega compose to the third, so
+    h(X) = f(g(X)) whenever g reindexes X and f reindexes g(X)."""
+    grew = True
+    while grew:
+        grew = False
+        for f in _PARTNER:
+            for g in _PARTNER:
+                if f == g:
+                    continue
+                h = next(n for n in _PARTNER if n not in (f, g))
+                for x, y in list(_PARTNER[g].items()):
+                    z = _PARTNER[f].get(y)
+                    if z is not None and x not in _PARTNER[h]:
+                        _PARTNER[h][x] = z
+                        _PARTNER[h][z] = x
+                        grew = True
+
+
+def register_basis(token: str, algebra: str, expand, unexpand, image=None) -> None:
+    """Install a basis: `expand` and `unexpand` map one index to {comp: int}
+    in and out of the canonical basis.  `image=(name, source)` states that
+    token_a = name(source_fix(a)) (fix reverses a for rho and omega), so the
+    involutions reindex between the two bases instead of converting."""
     if algebra not in (NSYM, QSYM):
         raise ValueError(f"unknown algebra {algebra!r}")
     if token in _REGISTRY:
@@ -55,6 +90,11 @@ def register_basis(token: str, algebra: str, expand, unexpand) -> None:
     _REGISTRY[token] = _BasisInfo(algebra, expand, unexpand)
     if token not in _TOKEN_ORDER:
         _TOKEN_ORDER.append(token)
+    if image is not None:
+        name, source = image
+        _PARTNER[name][source] = token
+        _PARTNER[name][token] = source
+        _close_partners()
     _expand.cache_clear()
     _unexpand.cache_clear()
 
@@ -457,36 +497,52 @@ class TensorElement(_Combination):
 
     def canonical_dict(self) -> dict:
         """Coefficients with both legs canonical: {(compL, compR): int}."""
-        out = {}
-        for ((bl, cl), (br, cr)), coeff in self._terms.items():
-            for c1, v1 in _leg_expand(self._space, bl, cl):
-                for c2, v2 in _leg_expand(self._space, br, cr):
-                    k = (c1, c2)
-                    out[k] = out.get(k, 0) + coeff * v1 * v2
-        return {k: v for k, v in out.items() if v}
+        canonical = CANONICAL[self._space]
+        both = _expand_leg(_expand_leg(self._terms, 0, canonical), 1, canonical)
+        return {k: v for k, v in both.items() if v}
 
     def convert(self, left_basis: str, right_basis: str) -> "TensorElement":
-        check_basis(left_basis, self._space)
-        check_basis(right_basis, self._space)
-        terms = {}
-        for (c1, c2), coeff in self.canonical_dict().items():
-            for d1, v1 in _leg_unexpand(self._space, left_basis, c1):
-                for d2, v2 in _leg_unexpand(self._space, right_basis, c2):
-                    k = ((left_basis, d1), (right_basis, d2))
-                    terms[k] = terms.get(k, 0) + coeff * v1 * v2
-        return TensorElement._of(self._space, terms)
+        """Both legs in the given bases: the left leg of every term first,
+        merged, then the right leg, so each distinct leg converts once."""
+        algebra = self._space
+        check_basis(left_basis, algebra)
+        check_basis(right_basis, algebra)
+        canonical = CANONICAL[algebra]
+        terms = self.canonical_dict()
+        for side, basis in ((0, left_basis), (1, right_basis)):
+            if basis != canonical:
+                terms = _unexpand_leg(terms, side, basis)
+        return TensorElement._of(algebra, {((left_basis, d1), (right_basis, d2)): v
+                                           for (d1, d2), v in terms.items()})
 
 
-def _leg_expand(algebra, basis, comp):
-    if basis == CANONICAL[algebra]:
-        return ((comp, 1),)
-    return _expand(basis, comp)
+# One leg at a time: |U(c1)| + |U(c2)| products per term, not |U(c1)| * |U(c2)|.
+
+def _expand_leg(terms: dict, side: int, canonical: str) -> dict:
+    """Expand leg `side` (0 left, 1 right), a (basis, comp) pair, of every
+    key into the canonical basis, merging equal keys."""
+    out = {}
+    for key, coeff in terms.items():
+        if not coeff:
+            continue
+        basis, comp = key[side]
+        for leg, v in (((comp, 1),) if basis == canonical else _expand(basis, comp)):
+            k = (leg, key[1]) if side == 0 else (key[0], leg)
+            out[k] = out.get(k, 0) + coeff * v
+    return out
 
 
-def _leg_unexpand(algebra, basis, comp):
-    if basis == CANONICAL[algebra]:
-        return ((comp, 1),)
-    return _unexpand(basis, comp)
+def _unexpand_leg(terms: dict, side: int, basis: str) -> dict:
+    """Convert leg `side` (0 left, 1 right), a canonical comp, of every key
+    into `basis`, merging equal keys."""
+    out = {}
+    for key, coeff in terms.items():
+        if not coeff:
+            continue
+        for leg, v in _unexpand(basis, key[side]):
+            k = (leg, key[1]) if side == 0 else (key[0], leg)
+            out[k] = out.get(k, 0) + coeff * v
+    return out
 
 
 def tensor_term(basis_l: str, comp_l, basis_r: str, comp_r, coeff: int = 1) -> TensorElement:
@@ -592,16 +648,6 @@ def rperp(h: Element, f: Element) -> Element:
 # ---------------------------------------------------------------------------
 # involutions and the antipode
 
-# preferred output basis for elements supported on a single basis
-_PARTNER = {
-    "psi": {"H": "E", "E": "H", "sh": "rsh", "rsh": "sh", "fsh": "bsh", "bsh": "fsh",
-            "sh*": "rsh*", "rsh*": "sh*", "fsh*": "bsh*", "bsh*": "fsh*"},
-    "rho": {"sh": "fsh", "fsh": "sh", "rsh": "bsh", "bsh": "rsh",
-            "sh*": "fsh*", "fsh*": "sh*", "rsh*": "bsh*", "bsh*": "rsh*"},
-}
-_PARTNER["omega"] = {t: _PARTNER["rho"].get(p, p) for t, p in _PARTNER["psi"].items()}
-
-
 @lru_cache(maxsize=None)
 def _image(algebra: str, name: str, comp: tuple) -> tuple:
     """The involution `name` of one canonical basis element, as canonical
@@ -618,8 +664,9 @@ def _image(algebra: str, name: str, comp: tuple) -> tuple:
 
 
 def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
-    """x under the involution `name`, with the sign (-1)^degree if `signed`,
-    term by term through `_image` on the canonical basis, then in `basis`."""
+    """The canonical route: x under the involution `name`, with the sign
+    (-1)^degree if `signed`, term by term through `_image` on the canonical
+    basis, then in `basis`."""
     out = {}
     for comp, coeff in x.canonical_dict().items():
         if signed and sum(comp) % 2:
@@ -630,21 +677,41 @@ def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
     return Element._of(x.algebra, {(canonical, c): v for c, v in out.items()}).convert(basis)
 
 
+def _reindexed(x: Element, name: str, signed: bool, partner: str) -> Element:
+    """x, supported on one basis X that `name` reindexes, under `name` (with
+    the sign (-1)^degree if `signed`): name(X_a) = partner_fix(a)."""
+    fix = _FIX[name]
+    return Element._of(x.algebra, {
+        (partner, fix(comp)): -coeff if signed and sum(comp) % 2 else coeff
+        for (_, comp), coeff in x._terms.items()})
+
+
 def involution(name: str, x: Element, basis=None) -> Element:
     """Apply psi, rho, or omega; the result is converted to `basis` if given,
-    else to the natural partner of x's basis (or the canonical basis)."""
+    else to the natural partner of x's basis (or the canonical basis).  Into
+    the partner it is a reindex; every other case takes the canonical route."""
     if name not in _PARTNER:
         raise ValueError(f"unknown involution {name!r}")
+    support = x.support_basis()
+    partner = _PARTNER[name].get(support, support)
     if basis is None:
-        support = x.support_basis()
-        basis = _PARTNER[name].get(support, support) or CANONICAL[x.algebra]
+        basis = partner or CANONICAL[x.algebra]
+    if support in _PARTNER[name] and basis == partner:
+        return _reindexed(x, name, False, partner)
     return _involute(x, name, False, basis)
 
 
 def antipode(x: Element, basis=None) -> Element:
-    """The Hopf antipode: (-1)^degree times omega, in closed form on the
-    canonical basis."""
-    return _involute(x, "omega", True, basis or x.support_basis() or CANONICAL[x.algebra])
+    """The Hopf antipode: (-1)^degree times omega.  On a basis that omega
+    reindexes it is the signed reindex, converted unless `basis` is the
+    omega partner; otherwise it takes the canonical route."""
+    support = x.support_basis()
+    basis = basis or support or CANONICAL[x.algebra]
+    if support not in _PARTNER["omega"]:
+        return _involute(x, "omega", True, basis)
+    partner = _PARTNER["omega"][support]
+    image = _reindexed(x, "omega", True, partner)
+    return image if basis == partner else image.convert(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +771,7 @@ _psi_M = _signed(comps.coarsenings, lambda a, g: sum(a) - len(a))
 
 register_basis("H", NSYM, _identity_expand, _identity_expand)
 register_basis("M", QSYM, _identity_expand, _identity_expand)
-register_basis("E", NSYM, _E_H, _E_H)
+register_basis("E", NSYM, _E_H, _E_H, image=("psi", "H"))
 register_basis("R", NSYM, _signed(comps.coarsenings, _length_gap),
                _signed(comps.coarsenings, _unsigned))
 register_basis("F", QSYM, _signed(comps.refinements, _unsigned),

@@ -75,17 +75,17 @@ def _shin_reader(inverse: bool, column: bool):
 
 
 def _transported(name: str, source: str):
-    """Expand/unexpand maps of X, the partner of `source` under `name`:
-    X_a = name(source[fix(a)]), fix reversing a for rho and omega."""
+    """Expand/unexpand maps of X = name(source): X_a = name(source[fix(a)]),
+    fix reversing a for rho and omega.  Both take the canonical route of the
+    involution: its reindex into X is what this registration defines."""
     canonical = core.CANONICAL[core.algebra_of(source)]
-    fix = tuple if name == "psi" else comps.reverse
+    fix = core._FIX[name]
 
     def expand(comp):
-        image = core.involution(name, term(source, fix(comp)), basis=canonical)
-        return image.canonical_dict()
+        return core._involute(term(source, fix(comp)), name, False, canonical).canonical_dict()
 
     def unexpand(comp):
-        image = core.involution(name, term(canonical, comp), basis=source)
+        image = core._involute(term(canonical, comp), name, False, source)
         return {fix(c): v for (_, c), v in image.terms.items()}
 
     return expand, unexpand
@@ -93,17 +93,20 @@ def _transported(name: str, source: str):
 
 def register_bases() -> None:
     """Install the eight Schur-like bases into the conversion registry:
-    sh and sh* from the shin tableau counts, the other six by transport.
-    rho only reverses indices of H and M, so only rsh and rsh* pay for psi;
-    this order fixes the order terms print in."""
+    sh and sh* from the shin tableau counts, the other six as the images
+    (token, name, source) below, which also tell the registry that the
+    involutions reindex between them.  rho only reverses indices of H and
+    M, so only rsh and rsh* pay for psi; this order fixes the order terms
+    print in."""
     if "sh" in core.bases():
         return
     core.register_basis("sh", NSYM, _shin_reader(True, True), _shin_reader(False, True))
     core.register_basis("sh*", QSYM, _shin_reader(False, False), _shin_reader(True, False))
-    for name, source in (("psi", "sh"), ("psi", "sh*"), ("rho", "sh"), ("rho", "sh*"),
-                         ("rho", "rsh"), ("rho", "rsh*")):
-        core.register_basis(core._PARTNER[name][source], core.algebra_of(source),
-                            *_transported(name, source))
+    for token, name, source in (("rsh", "psi", "sh"), ("rsh*", "psi", "sh*"),
+                                ("fsh", "rho", "sh"), ("fsh*", "rho", "sh*"),
+                                ("bsh", "rho", "rsh"), ("bsh*", "rho", "rsh*")):
+        core.register_basis(token, core.algebra_of(source), *_transported(name, source),
+                            image=(name, source))
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +161,34 @@ def beth(m: int, x: Element) -> Element:
 
 class RestrictedPermutation(NamedTuple):
     values: tuple  # sigma as (sigma(1), ..., sigma(k)), with sigma(i) >= i-1
-
-    @property
-    def sign(self) -> int:
-        v = self.values
-        inversions = sum(
-            1 for i in range(len(v)) for j in range(i + 1, len(v)) if v[i] > v[j]
-        )
-        return -1 if inversions % 2 else 1
+    sign: int  # (-1)^inversions, carried while sigma grows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def restricted_permutations(k: int) -> tuple:
     """All permutations sigma of {1..k} with sigma(i) >= i-1, in lex order,
-    grown position by position (2**(k-1) of them, not a filter over k!):
-    value i-1 may sit no later than position i, so there it goes if still
-    unused, and otherwise position i takes each unused value in turn."""
-    perms = [()]
-    for i in range(1, k + 1):
-        grown = []
-        for p in perms:
-            left = set(range(1, k + 1)).difference(p)
-            grown += [p + (v,) for v in ((i - 1,) if i - 1 in left else sorted(left))]
-        perms = grown
-    return tuple(map(RestrictedPermutation, perms))
+    grown position by position (2**(k-1) of them, not a filter over k!).
+    Every value below i-1 sits before position i, so the unused values,
+    kept ascending, start at i-1 or above; i-1 must go at position i if it
+    is unused, and otherwise position i takes each unused value in turn.
+    Appending v adds one inversion per larger value already placed, which
+    keeps the sign.  The walk is depth first, so besides its output it
+    holds only the prefixes on one path, and only the last four listings
+    are cached: one of 17 parts holds 65536 permutations."""
+    out = []
+
+    def grow(prefix, left, sign):  # left: the unused values, ascending
+        i = len(prefix) + 1
+        if i > k:
+            out.append(RestrictedPermutation(prefix, sign))
+            return
+        for j in ((0,) if left[0] == i - 1 else range(len(left))):
+            v = left[j]
+            larger_placed = k - v - (len(left) - 1 - j)
+            grow(prefix + (v,), left[:j] + left[j + 1:], -sign if larger_placed % 2 else sign)
+
+    grow((), tuple(range(1, k + 1)), 1)
+    return tuple(out)
 
 
 def jacobi_trudi(family: str, beta) -> Element:

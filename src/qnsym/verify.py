@@ -56,9 +56,10 @@ def check_duality(max_degree, rng):
     return cases, failures
 
 
-# The carrier route, kept as the oracle of the closed forms in `core`: on
-# the ribbon basis R of NSym and the fundamental basis F of QSym each
-# involution reindexes, by complement, reversal or transpose.
+# The carrier route, kept as the oracle of the closed forms and of the
+# partner-basis reindexings in `core`: on the ribbon basis R of NSym and the
+# fundamental basis F of QSym each involution reindexes, by complement,
+# reversal or transpose, and shares no reindexing with `core`.
 _CARRIER = {core.NSYM: "R", core.QSYM: "F"}
 _INDEX_MAP = {"psi": comps.complement, "rho": comps.reverse, "omega": comps.transpose}
 

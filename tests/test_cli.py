@@ -181,7 +181,7 @@ def test_dense_degree_budget_fails_fast_with_exit_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["expand", "E[40]"],
-    ["involute", "psi", "H[40]"],
+    ["involute", "psi", "H[40]", "--basis", "H"],
     ["involute", "psi", "M[" + ",".join(["1"] * 40) + "]"],
     ["antipode", "H[40]"],
 ])
@@ -195,6 +195,21 @@ def test_exponential_single_terms_fail_fast_with_exit_1(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "has 2^39 " in captured.err and "past the budget of 65536" in captured.err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["involute", "psi", "H[40]"], "E[40]\n"),
+    (["involute", "omega", "sh*[1,2,3,4,4,6]"], "bsh*[6,4,4,3,2,1]\n"),
+])
+def test_involutions_into_the_partner_reindex_past_the_budgets(capsys, argv, out):
+    """psi(H_a) = E_a and omega(sh*_a) = bsh*_rev(a) hold by definition, so
+    no expansion, refinement listing or dense matrix is needed."""
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == out
 
 
 def test_jacobi_trudi_past_the_listing_budget_fails_fast_with_exit_1(capsys):

@@ -677,6 +677,135 @@ def test_involution_suite_reports_a_wrong_closed_form(monkeypatch):
     assert not any("(M[1, 1])" in f or "(H[" in f or "(E[" in f for f in failures)
 
 
+# --- the involutions as reindexings on the bases they define ------------------
+
+def _canonical_route(name, x, basis):
+    """psi, rho, omega or the antipode S of x through `core._image`."""
+    if name == "S":
+        return core._involute(x, "omega", True, basis)
+    return core._involute(x, name, False, basis)
+
+
+def _routed(name, x, basis=None):
+    return antipode(x, basis) if name == "S" else involution(name, x, basis)
+
+
+def _reindexed_bases():
+    return sorted({tok for partners in core._PARTNER.values() for tok in partners})
+
+
+def test_the_reindexed_bases_and_their_partners():
+    assert _reindexed_bases() == sorted(("H", "E", "M") + tuple(sl.NSYM_TOKEN.values())
+                                        + tuple(sl.QSYM_TOKEN.values()))
+    assert core._PARTNER["psi"] == {"H": "E", "E": "H", "sh": "rsh", "rsh": "sh",
+                                    "fsh": "bsh", "bsh": "fsh", "sh*": "rsh*",
+                                    "rsh*": "sh*", "fsh*": "bsh*", "bsh*": "fsh*"}
+    assert core._PARTNER["rho"] == {"H": "H", "E": "E", "M": "M", "sh": "fsh", "fsh": "sh",
+                                    "rsh": "bsh", "bsh": "rsh", "sh*": "fsh*", "fsh*": "sh*",
+                                    "rsh*": "bsh*", "bsh*": "rsh*"}
+    assert core._PARTNER["omega"] == {
+        t: core._PARTNER["rho"][p] for t, p in core._PARTNER["psi"].items()}
+
+
+def test_reindexing_matches_the_canonical_route_on_every_basis_element():
+    """Into the default basis and the partner to degree 7, into every basis
+    to degree 6 (every basis at degree 7 alone takes about 10 s)."""
+    for tok in _reindexed_bases():
+        algebra = core.algebra_of(tok)
+        canonical = core.CANONICAL[algebra]
+        for a in comps_upto(7):
+            x = term(tok, a)
+            for name in INVOLUTIONS + ("S",):
+                want = _canonical_route(name, x, canonical)
+                partner = core._PARTNER["omega" if name == "S" else name].get(tok, tok)
+                every = core.bases(algebra) if sum(a) <= 6 else (partner,)
+                for basis in (None,) + every:
+                    got = _routed(name, x, basis)
+                    target = basis or (tok if name == "S" else core._PARTNER[name].get(tok, tok))
+                    assert dict(got.terms) == dict(want.convert(target).terms), \
+                        (name, tok, a, basis)
+
+
+def test_reindexing_matches_the_canonical_route_on_seeded_combinations():
+    import random
+
+    rng = random.Random(10)
+    for _ in range(400):
+        tok = rng.choice(core.bases())
+        algebra = core.algebra_of(tok)
+        # one basis (a reindex where tok has a partner) or a mixed support
+        toks = [tok] * 3 if rng.random() < 0.7 else list(core.bases(algebra))
+        x = sum((rng.randint(-4, 4) * term(rng.choice(toks), rng.choice(
+            comps.compositions(rng.randint(0, 6)))) for _ in range(rng.randint(1, 4))),
+            core.zero(algebra))
+        for name in INVOLUTIONS + ("S",):
+            for basis in (None, rng.choice(core.bases(algebra))):
+                got = _routed(name, x, basis)
+                target = got.support_basis()
+                want = _canonical_route(name, x, target or core.CANONICAL[algebra])
+                assert dict(got.terms) == dict(want.terms), (name, str(x), basis)
+
+
+def test_partner_involutions_of_schurlike_bases_never_convert(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("converted through the canonical basis")
+
+    tokens = tuple(sl.NSYM_TOKEN.values()) + tuple(sl.QSYM_TOKEN.values())
+    cases = [(name, term(tok, a)) for tok in tokens for a in comps_upto(6)
+             for name in INVOLUTIONS + ("S",)]
+    partner = {name: core._PARTNER["omega" if name == "S" else name] for name, _ in cases}
+    want = [_canonical_route(name, x, partner[name][x.support_basis()]) for name, x in cases]
+    monkeypatch.setattr(core, "_expand", refuse)
+    monkeypatch.setattr(core, "_unexpand", refuse)
+    got = [_routed(name, x, partner[name][x.support_basis()]) for name, x in cases]
+    default = [involution(name, x) for name, x in cases if name != "S"]
+    monkeypatch.undo()
+    assert [dict(y.terms) for y in got] == [dict(y.terms) for y in want]
+    assert [dict(y.terms) for y in default] == [
+        dict(y.terms) for (name, _), y in zip(cases, want) if name != "S"]
+
+
+def _leg(image, algebra, basis, comp):
+    return ((comp, 1),) if basis == core.CANONICAL[algebra] else image(basis, comp)
+
+
+def _one_pass_convert(t, left_basis, right_basis):
+    """The earlier tensor conversion, kept as the reference: every canonical
+    term converts both legs at once, |U(c1)| * |U(c2)| products per term."""
+    terms = {}
+    for (c1, c2), coeff in _one_pass_canonical(t).items():
+        for d1, v1 in _leg(core._unexpand, t.algebra, left_basis, c1):
+            for d2, v2 in _leg(core._unexpand, t.algebra, right_basis, c2):
+                k = ((left_basis, d1), (right_basis, d2))
+                terms[k] = terms.get(k, 0) + coeff * v1 * v2
+    return {k: v for k, v in terms.items() if v}
+
+
+def _one_pass_canonical(t):
+    out = {}
+    for ((bl, cl), (br, cr)), coeff in t.terms.items():
+        for c1, v1 in _leg(core._expand, t.algebra, bl, cl):
+            for c2, v2 in _leg(core._expand, t.algebra, br, cr):
+                out[c1, c2] = out.get((c1, c2), 0) + coeff * v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def test_two_pass_tensor_conversion_matches_the_one_pass_loop():
+    for tok in core.bases():
+        pool = core.bases(core.algebra_of(tok))
+        for a in comps_upto(5):
+            delta = coproduct(term(tok, a))
+            for left in pool:
+                for right in pool:
+                    got = delta.convert(left, right)
+                    assert dict(got.terms) == _one_pass_convert(delta, left, right), \
+                        (tok, a, left, right)
+                    # legs in two bases: canonical_dict against the reference too
+                    if sum(a) <= 3:
+                        assert got.canonical_dict() == _one_pass_canonical(got), \
+                            (tok, a, left, right)
+
+
 def test_kostka_solve_refuses_a_matrix_that_is_not_triangular(monkeypatch):
     true_kostka = sl.kostka_matrix
 
