@@ -16,12 +16,16 @@ psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a) and rho(rsh_a) = bsh_rev(a)
 tableau counts are the oracle of `verify tableaux`.  On top of the bases
 live the Pieri rules, the beth creation operators, Jacobi-Trudi expansions,
 ribbon multiplication, skew and skew-II functions, structure coefficients,
-coproduct formulas, and the bridge to symmetric functions.
+coproduct formulas, and the bridge to symmetric functions.  The Pieri,
+Jacobi-Trudi and ribbon routes work for sh and reach the other families
+by the involution that builds them; a ribbon product runs the Pieri rule
+word by word, so no tableau is enumerated here.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
@@ -49,6 +53,21 @@ def family_name(family: str) -> str:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _transport(family: str):
+    """X_a = name(sh_fix(a)) for the family's basis X, the involution read
+    off X's Pieri rule: a left side means rho, the generator E psi, both
+    omega, and shin needs none.  Returns fix and `carry`, which takes
+    {index: coeff} in a basis through the involution by one reindex."""
+    left, e = PIERI_SIDE[family] == "left", PIERI_GENERATOR[family] == "E"
+    name = ("omega" if e else "rho") if left else ("psi" if e else None)
+
+    def carry(basis, coeffs):
+        x = Element._of(NSYM, {(basis, comp): c for comp, c in coeffs.items()})
+        return core.involution(name, x) if name else x
+
+    return core._FIX.get(name, tuple), carry
+
+
 # ---------------------------------------------------------------------------
 # basis registration
 
@@ -67,7 +86,7 @@ def _shin_reader(inverse: bool, column: bool):
         # tab.kappa_matrix is looked up per call so that it can be replaced
         rows = _kappa_inverse("shin", n) if inverse else tab.kappa_matrix("shin", n)
         cs = comps.compositions(n)
-        k = cs.index(tuple(comp))
+        k = bisect_left(cs, tuple(comp))  # the canonical list is sorted
         line = (row[k] for row in rows) if column else rows[k]
         return {c: v for c, v in zip(cs, line) if v}
 
@@ -113,8 +132,8 @@ def register_bases() -> None:
 # Pieri rules and beth operators
 
 def pieri(family: str, alpha, r: int, side=None, generator=None) -> Element:
-    """Multiply the family basis element by H_r or E_r on the family's side,
-    expanded combinatorially through strip extensions."""
+    """Multiply the family basis element by H_r or E_r on the family's side:
+    the shin strip extensions of the carried index, carried back."""
     family = family_name(family)
     alpha = comps.check_composition(alpha)
     if r < 0:
@@ -124,14 +143,8 @@ def pieri(family: str, alpha, r: int, side=None, generator=None) -> Element:
         raise ValueError(f"{family} has a {want_side} Pieri rule, not {side}")
     if generator is not None and generator != want_gen:
         raise ValueError(f"{family}'s Pieri rule multiplies by {want_gen}_r, not {generator}_r")
-    tok = NSYM_TOKEN[family]
-    if want_side == "right":
-        betas = tab.strip_extensions(alpha, r)
-    else:
-        betas = tuple(
-            comps.reverse(b) for b in tab.strip_extensions(comps.reverse(alpha), r)
-        )
-    return Element._of(NSYM, {(tok, beta): 1 for beta in betas})
+    fix, carry = _transport(family)
+    return carry("sh", {beta: 1 for beta in tab.strip_extensions(fix(alpha), r)})
 
 
 def beth(m: int, x: Element) -> Element:
@@ -192,42 +205,22 @@ def restricted_permutations(k: int) -> tuple:
 
 
 def jacobi_trudi(family: str, beta) -> Element:
-    """Signed H- or E-word expansion of the family basis element.
-
-    Defined for strictly increasing beta (sh, rsh) and strictly decreasing
-    beta (fsh, bsh); for the latter the permutations act on the reversal
-    and each word is reversed afterwards.
-    """
+    """Signed H- or E-word expansion of the family basis element: the shin
+    expansion of the carried index, which must be strictly increasing (so
+    beta is strictly increasing for sh and rsh, decreasing for fsh and
+    bsh), carried back word by word."""
     family = family_name(family)
     beta = comps.check_composition(beta)
-    k = len(beta)
-    increasing = all(a < b for a, b in zip(beta, beta[1:]))
-    decreasing = all(a > b for a, b in zip(beta, beta[1:]))
-    if family in ("shin", "row_strict"):
-        if not increasing:
-            raise ValueError(
-                f"no determinant expansion for {beta}: the index must be strictly "
-                "increasing (the (2,2,4) expansion cannot be written this way)"
-            )
-        base = beta
-        flip_words = False
-    else:
-        if not decreasing:
-            raise ValueError(
-                f"no determinant expansion for {beta}: the index must be strictly "
-                "decreasing (the (2,2,4) expansion cannot be written this way)"
-            )
-        base = comps.reverse(beta)
-        flip_words = True
-    comps._check_listing(k - 1, "restricted permutations", beta)
-    gen = "H" if family in ("shin", "flipped") else "E"
-    out = {}  # the parts of base are distinct, so no two permutations share a word
-    for sigma in restricted_permutations(k):
-        word = tuple(base[s - 1] for s in sigma.values)
-        if flip_words:
-            word = comps.reverse(word)
-        out[gen, word] = sigma.sign
-    return Element._of(NSYM, out)
+    fix, carry = _transport(family)
+    base = fix(beta)
+    if any(a >= b for a, b in zip(base, base[1:])):
+        order = "decreasing" if fix is comps.reverse else "increasing"
+        raise ValueError(f"no determinant expansion for {beta}: the index must be strictly "
+                         f"{order} (the (2,2,4) expansion cannot be written this way)")
+    comps._check_listing(len(base) - 1, "restricted permutations", beta)
+    # the parts of base are distinct, so no two permutations share a word
+    return carry("H", {tuple(base[s - 1] for s in sigma.values): sigma.sign
+                       for sigma in restricted_permutations(len(base))})
 
 
 @lru_cache(maxsize=None)
@@ -260,37 +253,21 @@ def pieri_elimination(alpha) -> Element:
 # ribbon multiplication, skew functions, structure coefficients
 
 def ribbon_multiply(family: str, alpha, beta) -> Element:
-    """The product of the family basis element with R_beta (on the family's
-    side), expanded by counting standard skew family tableaux with descent
-    composition beta."""
+    """The product of the family basis element with R_beta on the family's
+    side: R_beta in the family's Pieri generator (a listing refused past
+    `comps.MAX_REFINEMENTS`), each word carried to an H-word that the shin
+    Pieri rule applies part by part at the carried index."""
     family = family_name(family)
     alpha = comps.check_composition(alpha)
     beta = comps.check_composition(beta)
-    tok = NSYM_TOKEN[family]
-    left_sided = PIERI_SIDE[family] == "left"
-    n = sum(alpha) + sum(beta)
+    fix, carry = _transport(family)
+    ribbon = term("R", beta).convert(PIERI_GENERATOR[family])
+    words = {fix(word): c for (_, word), c in ribbon.terms.items()}
     out = {}
-    for gamma in comps.compositions(n):
-        if not alpha:
-            shape = tab.straight(gamma)
-        elif left_sided:
-            if not comps.dominated(comps.reverse(alpha), comps.reverse(gamma)):
-                continue
-            shape = tab.skew2(gamma, alpha)
-        else:
-            if not comps.dominated(alpha, gamma):
-                continue
-            shape = tab.skew(gamma, alpha)
-        if not tab.is_chain_legal(shape):
-            continue
-        count = sum(
-            1
-            for t in tab.enumerate_standard(shape, family)
-            if tab.descent_composition(t) == beta
-        )
-        if count:
-            out[(tok, gamma)] = count
-    return Element._of(NSYM, out)
+    for word, counts in tab.strip_chains(fix(alpha), words):
+        for gamma, m in counts.items():
+            out[gamma] = out.get(gamma, 0) + words[word] * m
+    return carry("sh", out)
 
 
 def skew(family: str, outer, inner) -> Element:
@@ -472,7 +449,7 @@ def _kostka_reader(column: bool):
             ps = comps.partitions(n)
             kost = kostka_matrix(n)
             for lam, c in piece.items():
-                i = ps.index(lam)
+                i = bisect_left(ps, lam)  # the canonical list is sorted
                 line = (row[i] for row in kost) if column else kost[i]
                 for mu, v in zip(ps, line):
                     if v:

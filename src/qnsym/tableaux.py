@@ -24,7 +24,8 @@ reads a matrix off strip chains and enumerates no tableau: in a shin
 tableau the entries equal to v fill a strip over the entries below v, so
 K[alpha][beta] is the number of chains () = g0 < g1 < ... < gk = alpha whose
 i-th step is a strip of beta_i boxes.  It builds the shin matrix and, kept
-on partition shapes, the Kostka matrix (`schurlike.kostka_matrix`).
+on partition shapes, the Kostka matrix (`schurlike.kostka_matrix`); walked
+from a start shape (`strip_chains`), the chains give ribbon products.
 """
 
 from __future__ import annotations
@@ -411,30 +412,36 @@ def strip_extensions(alpha, r: int) -> tuple:
     return tuple(sorted(found))
 
 
-def chain_matrix(indices, keep=None) -> tuple:
-    """K[i][j] = the number of chains () = g0 < g1 < ... < gk = indices[i]
-    whose t-th step is a strip of indices[j][t] boxes, every g passing
-    `keep` if given: the paper's right Pieri rule sh_a H_r read column by
-    column.  Columns are memoised on prefixes and strip lists on (g, r):
-
-        chains(beta) = sum over g in chains(beta[:-1])
-                       of strip_extensions(g, beta[-1]).
-    """
-    chains, strips = {(): {(): 1}}, {}
-    for beta in indices:
-        for k in range(1, len(beta) + 1):
-            prefix = tuple(beta[:k])
-            if prefix in chains:
-                continue
-            r, counts = prefix[-1], {}
-            for gamma, c in chains[prefix[:-1]].items():
+def strip_chains(start, words, keep=None):
+    """Yield (word, counts) for each distinct word in sorted order: counts[g]
+    is the number of chains start = g0 < g1 < ... < gk = g whose t-th step
+    is a strip of word[t] boxes, every g passing `keep` if given (the
+    paper's right Pieri rule sh_a H_r, part by part).  Sorted words that
+    share a prefix are adjacent, so each prefix is walked once and only the
+    counts along the current word are held; strip lists are memoised."""
+    path, strips = [((), {tuple(start): 1})], {}  # (prefix, counts) pairs
+    for word in sorted(set(map(tuple, words))):
+        while path[-1][0] != word[:len(path[-1][0])]:
+            path.pop()
+        prefix, counts = path[-1]
+        for r in word[len(prefix):]:
+            grown = {}
+            for gamma, c in counts.items():
                 ext = strips.get((gamma, r))
                 if ext is None:
                     ext = strip_extensions(gamma, r)
                     ext = strips[gamma, r] = tuple(filter(keep, ext)) if keep else ext
                 for delta in ext:
-                    counts[delta] = counts.get(delta, 0) + c
-            chains[prefix] = counts
+                    grown[delta] = grown.get(delta, 0) + c
+            prefix, counts = prefix + (r,), grown
+            path.append((prefix, counts))
+        yield word, counts
+
+
+def chain_matrix(indices, keep=None) -> tuple:
+    """K[i][j] = the number of strip chains from () to indices[i] with steps
+    of indices[j][0], indices[j][1], ... boxes (`strip_chains`)."""
+    chains = dict(strip_chains((), indices, keep))
     columns = [chains[tuple(beta)] for beta in indices]
     return tuple(tuple(col.get(alpha, 0) for col in columns) for alpha in indices)
 

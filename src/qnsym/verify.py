@@ -340,6 +340,27 @@ def check_tableaux(max_degree, rng):
                     i, j = wrong[0]
                     failures.append(f"{family} K[{list(cs[i])}][{list(cs[j])}] = {kappa[i][j]} "
                                     f"but transport ({label}) gives {moved[i][j]}, degree {n}")
+    # the ribbon rule: X_alpha * R_beta (R_beta * X_alpha on the left side)
+    # sums X_gamma times the number of standard tableaux of gamma/alpha
+    # (bottom-aligned on the left side) whose descent composition is beta
+    top = min(max_degree, 5)
+    for family in tab.FAMILIES:
+        shape_of = tab.skew2 if sl.PIERI_SIDE[family] == "left" else tab.skew
+        for alpha in _comps_through(top):
+            for beta in _comps_through(top - sum(alpha)):
+                want = {}
+                for gamma in comps.compositions(sum(alpha) + sum(beta)):
+                    try:
+                        shape = shape_of(gamma, alpha)
+                    except ValueError:  # alpha does not fit inside gamma
+                        continue
+                    if tab.is_chain_legal(shape):
+                        want[sl.NSYM_TOKEN[family], gamma] = sum(
+                            tab.descent_composition(t) == beta
+                            for t in tab.enumerate_standard(shape, family))
+                cases += 1
+                if sl.ribbon_multiply(family, alpha, beta) != core.Element(core.NSYM, want):
+                    failures.append(f"{family} ribbon rule fails at {list(alpha)}, R{list(beta)}")
     # chains in the strip poset count standard skew tableaux
     for n in range(1, max_degree + 1):
         for alpha in comps.compositions(n):

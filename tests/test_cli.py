@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,16 @@ def test_parse_composition_forms():
         parse_composition("2,0,1")
     with pytest.raises(CLIError):
         parse_composition("2,x")
+
+
+@pytest.mark.parametrize("text", ["1_0", "٣", "+2", "2,１", "1,2_0"])
+def test_parse_composition_takes_ascii_digits_only(text):
+    with pytest.raises(CLIError) as e:
+        parse_composition(text)
+    assert e.value.status == 2
+    with pytest.raises(CLIError) as e:
+        parse_element(f"H[{text}]")
+    assert e.value.status == 2
 
 
 def test_parse_element_basic():
@@ -161,6 +172,31 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "H[1_0]"],
+    ["expand", "H[٣]"],
+    ["expand", "H[+2]"],
+    ["expand", "٣ H[2]"],
+    ["pieri", "--family", "sh", "1", "٣"],
+    ["pieri", "--family", "sh", "1", "+1"],
+    ["beth", "1_0", "H[1]"],
+    ["strips", "1", "٢"],
+    ["transition-matrix", "H", "E", "٢"],
+    ["verify", "--max-degree", "٢"],
+    ["verify", "--seed", "+1"],
+])
+def test_integers_other_than_ascii_digits_exit_2(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error: " in line]) == 1
+
+
+def test_a_negative_strip_size_is_a_domain_error(capsys):
+    assert cli.run(["pieri", "--family", "sh", "1", "-1"]) == 1
+    assert capsys.readouterr().err == "error: strip size must be nonnegative\n"
+
+
 def test_domain_errors_exit_1(capsys):
     assert cli.run(["jacobi-trudi", "--family", "sh", "2,2,4"]) == 1
     err = capsys.readouterr().err
@@ -222,6 +258,31 @@ def test_jacobi_trudi_past_the_listing_budget_fails_fast_with_exit_1(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "has 2^17 restricted permutations, past the budget of 65536" in captured.err
+
+
+@pytest.mark.parametrize("family", ["sh", "rsh", "fsh", "bsh"])
+def test_ribbon_past_the_coarsening_budget_fails_fast_with_exit_1(capsys, family):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(["ribbon-mult", "--family", family, "1", ",".join(["1"] * 19)]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "has 2^18 coarsenings, past the budget of 65536" in captured.err
+
+
+def test_ribbon_at_degree_20_answers_in_seconds(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(["ribbon-mult", "--family", "sh", "3,3,3,2,1", "2,2,2,1,1"]) == 0
+    assert time.perf_counter() - start < 5.0
+    # the bytes the tableau-enumerating route printed, after 33 s
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "29448a84c1fa3f28e05b5262c2711055d4c8491dc4abaae41563c4c3a24d2e55")
 
 
 def test_skew_warning_not_on_stdout(capsys, recwarn):
@@ -333,5 +394,51 @@ def test_verify_refuses_a_degree_below_1(capsys, argv):
      "[[[1], [1, 1], [2, 1]], [[1], [2], [2, 1]]]\n"),
 ])
 def test_tableau_json_is_byte_stable(capsys, argv, expected):
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["ribbon-mult", "--family", "sh", "2,1", "1,1"],
+     "sh[2,1,1,1] + sh[2,2,1] + sh[3,1,1] + sh[3,2]\n"),
+    (["ribbon-mult", "--family", "bsh", "1,2", "2,1"],
+     "bsh[1,1,1,3] + bsh[1,1,2,2] + bsh[1,1,4] + bsh[1,2,1,2] + 2 bsh[1,2,3] + "
+     "bsh[1,3,2] + bsh[2,1,3] + bsh[2,2,2] + bsh[2,4] + bsh[3,3]\n"),
+    (["ribbon-mult", "--json", "--family", "fsh", "2,1", "1,1"],
+     '{"algebra": "NSym", "terms": [{"basis": "fsh", "index": [1, 1, 2, 1], '
+     '"coeff": "1"}, {"basis": "fsh", "index": [1, 3, 1], "coeff": "1"}]}\n'),
+    (["ribbon-mult", "--json", "--family", "rsh", "1", "2"],
+     '{"algebra": "NSym", "terms": [{"basis": "rsh", "index": [1, 1, 1], "coeff": '
+     '"1"}, {"basis": "rsh", "index": [2, 1], "coeff": "1"}]}\n'),
+    (["coproduct", "sh*[2,1]"],
+     "2 M[] (x) M[1,1,1] + M[] (x) M[1,2] + M[] (x) M[2,1] + 2 M[1] (x) M[1,1] + "
+     "M[1] (x) M[2] + 2 M[1,1] (x) M[1] + M[2] (x) M[1] + 2 M[1,1,1] (x) M[] + "
+     "M[1,2] (x) M[] + M[2,1] (x) M[]\n"),
+    (["coproduct", "--json", "H[1,2]"],
+     '{"algebra": "NSym", "terms": [{"left": {"basis": "H", "index": []}, "right": '
+     '{"basis": "H", "index": [1, 2]}, "coeff": "1"}, {"left": {"basis": "H", '
+     '"index": [1]}, "right": {"basis": "H", "index": [1, 1]}, "coeff": "1"}, '
+     '{"left": {"basis": "H", "index": [1]}, "right": {"basis": "H", "index": [2]}, '
+     '"coeff": "1"}, {"left": {"basis": "H", "index": [1, 1]}, "right": {"basis": '
+     '"H", "index": [1]}, "coeff": "1"}, {"left": {"basis": "H", "index": [2]}, '
+     '"right": {"basis": "H", "index": [1]}, "coeff": "1"}, {"left": {"basis": "H", '
+     '"index": [1, 2]}, "right": {"basis": "H", "index": []}, "coeff": "1"}]}\n'),
+    (["strips", "--json", "2,1", "2"],
+     "[[2, 1, 2], [2, 2, 1], [2, 3], [3, 1, 1], [3, 2], [4, 1]]\n"),
+    (["struct-coeffs", "--json", "--family", "rsh", "2", "1,1"],
+     '[{"alpha": [2, 1, 1], "beta": [2], "gamma": [1, 1], "value": "1"}, {"alpha": '
+     '[3, 1], "beta": [2], "gamma": [1, 1], "value": "1"}]\n'),
+    (["transition-matrix", "--json", "rsh*", "F", "3"],
+     '{"source": "rsh*", "target": "F", "degree": 3, "indices": [[1, 1, 1], [1, 2], '
+     '[2, 1], [3]], "rows": [["0", "0", "0", "1"], ["0", "0", "1", "0"], ["0", "1", '
+     '"1", "0"], ["1", "0", "0", "0"]]}\n'),
+    (["tableaux", "enumerate", "--family", "backward", "2,3",
+      "--inner", "1", "--bottom", "--standard"],
+     "[2,1],[4,3]\n[3,1],[4,2]\n[3,2],[4,1]\n[4,1],[3,2]\n[4,2],[3,1]\n"),
+    (["tableaux", "count", "--family", "flipped", "3,1,2",
+      "--inner", "1,1", "--bottom", "--type", "1,2,1"],
+     "1\n"),
+])
+def test_golden_outputs_of_the_less_travelled_commands(capsys, argv, expected):
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == expected

@@ -269,6 +269,110 @@ def test_ribbon_multiply_example():
     assert got == double - sl.pieri("sh", (2, 3, 1), 2)
 
 
+# --- the family operations transported from sh, against per-family bodies -----
+#
+# pieri, jacobi_trudi and ribbon_multiply work for sh at the carried index and
+# reach the other families by one psi, rho or omega reindex.  The references
+# below are the per-family bodies they replaced: side, reversal and generator
+# are chosen family by family, and ribbons are counted on tableaux.
+
+FAMILY_TOKENS = ("sh", "rsh", "fsh", "bsh")
+
+
+def _pieri_by_side(family, alpha, r):
+    """Strip extensions on the right; reversed strip extensions of the
+    reversal on the left."""
+    if sl.PIERI_SIDE[sl.family_name(family)] == "right":
+        betas = tab.strip_extensions(alpha, r)
+    else:
+        betas = (comps.reverse(b) for b in tab.strip_extensions(comps.reverse(alpha), r))
+    return core.Element(core.NSYM, {(family, beta): 1 for beta in betas})
+
+
+def _jacobi_trudi_by_flipping(family, beta):
+    """Permutations act on beta in H (sh) or E (rsh); for fsh and bsh they act
+    on the reversal and each word is reversed back."""
+    fam = sl.family_name(family)
+    flip = fam in ("flipped", "backward")
+    base = comps.reverse(beta) if flip else beta
+    gen = "H" if fam in ("shin", "flipped") else "E"
+    out = {}
+    for sigma in sl.restricted_permutations(len(base)):
+        word = tuple(base[s - 1] for s in sigma.values)
+        out[gen, comps.reverse(word) if flip else word] = sigma.sign
+    return core.Element(core.NSYM, out)
+
+
+def _ribbon_by_enumeration(family, alpha, beta):
+    """Count the standard skew family tableaux of every shape gamma/alpha
+    (bottom-aligned for the left-sided families) with descent composition
+    beta."""
+    family = sl.family_name(family)
+    left_sided = sl.PIERI_SIDE[family] == "left"
+    out = {}
+    for gamma in comps.compositions(sum(alpha) + sum(beta)):
+        if not alpha:
+            shape = tab.straight(gamma)
+        elif left_sided:
+            if not comps.dominated(comps.reverse(alpha), comps.reverse(gamma)):
+                continue
+            shape = tab.skew2(gamma, alpha)
+        else:
+            if not comps.dominated(alpha, gamma):
+                continue
+            shape = tab.skew(gamma, alpha)
+        if not tab.is_chain_legal(shape):
+            continue
+        count = sum(1 for t in tab.enumerate_standard(shape, family)
+                    if tab.descent_composition(t) == beta)
+        if count:
+            out[(sl.NSYM_TOKEN[family], gamma)] = count
+    return core.Element(core.NSYM, out)
+
+
+def test_pieri_matches_the_per_family_body():
+    for fam in FAMILY_TOKENS:
+        for a in comps_upto(6):
+            for r in range(5):
+                assert sl.pieri(fam, a, r) == _pieri_by_side(fam, a, r), (fam, a, r)
+
+
+def test_jacobi_trudi_matches_the_flipped_word_listing():
+    increasing = [b for b in comps_upto(8) if all(x < y for x, y in zip(b, b[1:]))]
+    for beta in increasing:
+        for fam, index in (("sh", beta), ("rsh", beta),
+                           ("fsh", comps.reverse(beta)), ("bsh", comps.reverse(beta))):
+            want = _jacobi_trudi_by_flipping(fam, index)
+            assert sl.jacobi_trudi(fam, index) == want, (fam, index)
+
+
+def test_ribbon_multiply_matches_the_enumerating_body():
+    for fam in FAMILY_TOKENS:
+        for a in comps_upto(4):
+            for b in comps_upto(4):
+                want = _ribbon_by_enumeration(fam, a, b)
+                assert sl.ribbon_multiply(fam, a, b) == want, (fam, a, b)
+
+
+def test_ribbon_multiply_enumerates_no_tableau(monkeypatch):
+    cases = [(fam, (2, 1, 2), (1, 2, 1)) for fam in FAMILY_TOKENS]
+    want = [_ribbon_by_enumeration(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tableaux enumerated for a ribbon product")
+
+    monkeypatch.setattr(tab, "enumerate_standard", refuse)
+    monkeypatch.setattr(tab, "_backtrack", refuse)
+    assert [sl.ribbon_multiply(*case) for case in cases] == want
+
+
+def test_ribbon_multiply_refuses_past_the_coarsening_budget():
+    ones = (1,) * 19  # 2^18 coarsenings
+    for fam in FAMILY_TOKENS:
+        with pytest.raises(ValueError, match="has 2\\^18 coarsenings, past the budget"):
+            sl.ribbon_multiply(fam, (1,), ones)
+
+
 # --- skew and skew-II ---------------------------------------------------------
 
 def test_skew_golden():
