@@ -256,14 +256,12 @@ def cmd_tableaux(args):
     shape = _shape_from_args(args)
     if (args.type is None) == (not args.standard):
         raise CLIError(2, "give exactly one of --type or --standard")
-    if args.standard:
-        found = tab.enumerate_standard(shape, args.family)
-    else:
-        type_vec = parse_composition(args.type)
-        found = tab.enumerate_tableaux(shape, args.family, type_vec)
+    type_vec = (1,) * shape.size if args.standard else parse_composition(args.type)
     if args.mode == "count":
-        emit(args, str(len(found)), {"count": len(found)})
+        count = tab.count_tableaux(shape, args.family, type_vec)
+        emit(args, str(count), {"count": count})
         return
+    found = tab.enumerate_tableaux(shape, args.family, type_vec)
     if args.json:
         print(json.dumps([t.to_json_dict() for t in found]))
     else:

@@ -686,32 +686,32 @@ def _reindexed(x: Element, name: str, signed: bool, partner: str) -> Element:
         for (_, comp), coeff in x._terms.items()})
 
 
+def _apply(name: str, x: Element, signed: bool, basis: str) -> Element:
+    """x under the involution `name` (with the sign (-1)^degree if `signed`)
+    in `basis`.  On a basis that `name` reindexes it is the reindex into the
+    partner, converted unless `basis` is the partner; otherwise it takes the
+    canonical route."""
+    partner = _PARTNER[name].get(x.support_basis())
+    if partner is None:
+        return _involute(x, name, signed, basis)
+    image = _reindexed(x, name, signed, partner)
+    return image if basis == partner else image.convert(basis)
+
+
 def involution(name: str, x: Element, basis=None) -> Element:
     """Apply psi, rho, or omega; the result is converted to `basis` if given,
-    else to the natural partner of x's basis (or the canonical basis).  Into
-    the partner it is a reindex; every other case takes the canonical route."""
+    else to the natural partner of x's basis (or the canonical basis)."""
     if name not in _PARTNER:
         raise ValueError(f"unknown involution {name!r}")
     support = x.support_basis()
-    partner = _PARTNER[name].get(support, support)
-    if basis is None:
-        basis = partner or CANONICAL[x.algebra]
-    if support in _PARTNER[name] and basis == partner:
-        return _reindexed(x, name, False, partner)
-    return _involute(x, name, False, basis)
+    return _apply(name, x, False,
+                  basis or _PARTNER[name].get(support, support) or CANONICAL[x.algebra])
 
 
 def antipode(x: Element, basis=None) -> Element:
-    """The Hopf antipode: (-1)^degree times omega.  On a basis that omega
-    reindexes it is the signed reindex, converted unless `basis` is the
-    omega partner; otherwise it takes the canonical route."""
-    support = x.support_basis()
-    basis = basis or support or CANONICAL[x.algebra]
-    if support not in _PARTNER["omega"]:
-        return _involute(x, "omega", True, basis)
-    partner = _PARTNER["omega"][support]
-    image = _reindexed(x, "omega", True, partner)
-    return image if basis == partner else image.convert(basis)
+    """The Hopf antipode: (-1)^degree times omega, in `basis` if given, else
+    in x's basis (or the canonical basis)."""
+    return _apply("omega", x, True, basis or x.support_basis() or CANONICAL[x.algebra])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ the integers, pivoting only on units.  The other pairs are its images
 psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a) and rho(rsh_a) = bsh_rev(a)
 (starred alike; `verify` checks omega(sh_a) = bsh_rev(a)), and their own
 tableau counts are the oracle of `verify tableaux`.  On top of the bases
-live the Pieri rules, the beth creation operators, Jacobi-Trudi expansions,
-ribbon multiplication, skew and skew-II functions, structure coefficients,
-coproduct formulas, and the bridge to symmetric functions.  The Pieri,
-Jacobi-Trudi and ribbon routes work for sh and reach the other families
-by the involution that builds them; a ribbon product runs the Pieri rule
-word by word, so no tableau is enumerated here.
+live the Pieri rules, the beth creation operators, Jacobi-Trudi expansions
+(the creation operators folded over the index), ribbon multiplication,
+skew and skew-II functions, structure coefficients, coproduct formulas,
+and the bridge to symmetric functions.  The Pieri, Jacobi-Trudi and
+ribbon routes work for sh and reach the other families by the involution
+that builds them; a ribbon product runs the Pieri rule word by word, so
+no tableau is enumerated here.
 """
 
 from __future__ import annotations
@@ -172,43 +173,13 @@ def beth(m: int, x: Element) -> Element:
 # ---------------------------------------------------------------------------
 # Jacobi-Trudi
 
-class RestrictedPermutation(NamedTuple):
-    values: tuple  # sigma as (sigma(1), ..., sigma(k)), with sigma(i) >= i-1
-    sign: int  # (-1)^inversions, carried while sigma grows
-
-
-@lru_cache(maxsize=4)
-def restricted_permutations(k: int) -> tuple:
-    """All permutations sigma of {1..k} with sigma(i) >= i-1, in lex order,
-    grown position by position (2**(k-1) of them, not a filter over k!).
-    Every value below i-1 sits before position i, so the unused values,
-    kept ascending, start at i-1 or above; i-1 must go at position i if it
-    is unused, and otherwise position i takes each unused value in turn.
-    Appending v adds one inversion per larger value already placed, which
-    keeps the sign.  The walk is depth first, so besides its output it
-    holds only the prefixes on one path, and only the last four listings
-    are cached: one of 17 parts holds 65536 permutations."""
-    out = []
-
-    def grow(prefix, left, sign):  # left: the unused values, ascending
-        i = len(prefix) + 1
-        if i > k:
-            out.append(RestrictedPermutation(prefix, sign))
-            return
-        for j in ((0,) if left[0] == i - 1 else range(len(left))):
-            v = left[j]
-            larger_placed = k - v - (len(left) - 1 - j)
-            grow(prefix + (v,), left[:j] + left[j + 1:], -sign if larger_placed % 2 else sign)
-
-    grow((), tuple(range(1, k + 1)), 1)
-    return tuple(out)
-
-
 def jacobi_trudi(family: str, beta) -> Element:
     """Signed H- or E-word expansion of the family basis element: the shin
     expansion of the carried index, which must be strictly increasing (so
     beta is strictly increasing for sh and rsh, decreasing for fsh and
-    bsh), carried back word by word."""
+    bsh), carried back word by word.  The shin expansion is the creation
+    operators folded over the index: sh_(m)+a = beth_m(sh_a) when
+    0 < m < a_1, from sh_(last part) = H_(last part)."""
     family = family_name(family)
     beta = comps.check_composition(beta)
     fix, carry = _transport(family)
@@ -217,10 +188,12 @@ def jacobi_trudi(family: str, beta) -> Element:
         order = "decreasing" if fix is comps.reverse else "increasing"
         raise ValueError(f"no determinant expansion for {beta}: the index must be strictly "
                          f"{order} (the (2,2,4) expansion cannot be written this way)")
+    # the expansion has one word per restricted permutation, 2^(parts - 1)
     comps._check_listing(len(base) - 1, "restricted permutations", beta)
-    # the parts of base are distinct, so no two permutations share a word
-    return carry("H", {tuple(base[s - 1] for s in sigma.values): sigma.sign
-                       for sigma in restricted_permutations(len(base))})
+    x = term("H", base[-1:])
+    for m in reversed(base[:-1]):
+        x = beth(m, x)
+    return carry("H", x.canonical_dict())
 
 
 @lru_cache(maxsize=None)

@@ -162,7 +162,8 @@ def check_involutions(max_degree, rng):
 
 def check_jt_vs_pieri(max_degree, rng):
     """The oracle triangle: matrix inversion, Pieri elimination, and the
-    signed permutation expansion must agree on strictly increasing indices.
+    Jacobi-Trudi expansion by the creation operators must agree on strictly
+    increasing indices.
     The matrix leg inverts K counted by backtracking over tableaux, so that
     it shares no code with the strip chains behind the Pieri leg and the
     registered sh basis; the registered sh -> H must match it too."""

@@ -99,6 +99,22 @@ def test_tableaux_enumerate(capsys):
     assert capsys.readouterr().out == "[1,2],[3,4]\n[1,3],[2,4]\n"
 
 
+def test_tableaux_count_lists_no_tableau(capsys, monkeypatch):
+    """Count mode counts by backtracking; it builds no Tableau."""
+    def refuse(*args):
+        raise AssertionError("tableaux listed to be counted")
+
+    monkeypatch.setattr(cli.tab, "enumerate_tableaux", refuse)
+    for argv, out in (
+        (["--family", "shin", "3,4", "--type", "1,2,1,1,2"], "3\n"),
+        (["--family", "sh", "2,2", "--standard"], "2\n"),
+        (["--json", "--family", "backward", "2,3", "--inner", "1", "--bottom",
+          "--standard"], '{"count": 5}\n'),
+    ):
+        assert cli.run(["tableaux", "count"] + argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_strips(capsys):
     assert cli.run(["strips", "2,3,1", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
