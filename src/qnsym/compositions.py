@@ -33,6 +33,10 @@ MAX_DENSE_DEGREE = 12
 # 2**(len - 1) of them) are listed only up to this many: all of degree <= 17.
 MAX_REFINEMENTS = 2 ** 16
 
+# One backtracking run over tableau fillings places at most this many
+# values in cells (about half a second).
+MAX_TABLEAU_STEPS = 2 ** 18
+
 
 def check_dense_degree(n: int) -> int:
     """Return n, insisting a whole-degree matrix of degree n is in budget."""

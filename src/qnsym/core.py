@@ -22,8 +22,9 @@ basis, and the antipode, skip the canonical round trip.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
-computation stays in the integers (no step divides; `exact_inverse` pivots
-only on +1 and -1).
+computation stays in the integers (no step divides).  No basis inverts a
+matrix; `exact_inverse`, which pivots only on +1 and -1, is the matrix
+leg of the oracles in `verify` and the tests.
 """
 
 from __future__ import annotations

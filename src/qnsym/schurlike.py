@@ -9,8 +9,10 @@ number of shin tableaux of shape C[i] and type C[j],
 
 and K[i][j] is the number of chains of strips, of sizes C[j]_1, C[j]_2, ...,
 that build C[i] (the right Pieri rule sh_a H_r = sum of sh over the strip
-extensions of a by r boxes).  K is unitriangular, so sh->H inverts it in
-the integers, pivoting only on units.  The other pairs are its images
+extensions of a by r boxes).  The same rule gives K^-1 with no solve: sh_a
+is sh_prefix H_last minus sh over the prefix's other strip extensions
+(Pieri elimination); kept on partitions, the chains and the elimination
+give the Kostka matrix and its inverse.  The other pairs are its images
 psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a) and rho(rsh_a) = bsh_rev(a)
 (starred alike; `verify` checks omega(sh_a) = bsh_rev(a)), and their own
 tableau counts are the oracle of `verify tableaux`.  On top of the bases
@@ -72,26 +74,26 @@ def _transport(family: str):
 # ---------------------------------------------------------------------------
 # basis registration
 
-@lru_cache(maxsize=None)
-def _kappa_inverse(family: str, n: int) -> tuple:
-    try:
-        return core.exact_inverse(tab.kappa_matrix(family, n))
-    except ArithmeticError as exc:  # pragma: no cover - cannot occur for correct counts
-        raise ArithmeticError(f"{family} transition matrix at degree {n}: {exc}") from exc
-
-
-def _shin_reader(inverse: bool, column: bool):
-    """Row or column `comp` of the shin K matrix or of its inverse."""
-    def read(comp):
-        n = sum(comp)
-        # tab.kappa_matrix is looked up per call so that it can be replaced
-        rows = _kappa_inverse("shin", n) if inverse else tab.kappa_matrix("shin", n)
-        cs = comps.compositions(n)
-        k = bisect_left(cs, tuple(comp))  # the canonical list is sorted
+def _line_reader(matrix, indices, column: bool):
+    """Row or column `key` of matrix(n), n = |key|, as {index: entry} over
+    the sorted canonical list indices(n), zeros dropped: one reader for K
+    and K^-1 of the shin pair and of the Sym bridge."""
+    def read(key):
+        n = sum(key)
+        rows = matrix(n)
+        ordered = indices(n)
+        k = bisect_left(ordered, tuple(key))
         line = (row[k] for row in rows) if column else rows[k]
-        return {c: v for c, v in zip(cs, line) if v}
+        return {c: v for c, v in zip(ordered, line) if v}
 
     return read
+
+
+@lru_cache(maxsize=None)
+def _kappa_inverse(n: int) -> tuple:
+    """The inverse of the shin K at degree n: column b is sh_b in H, by
+    Pieri elimination, so no matrix is inverted."""
+    return _eliminated(comps.compositions(comps.check_dense_degree(n)), False)
 
 
 def _transported(name: str, source: str):
@@ -113,15 +115,21 @@ def _transported(name: str, source: str):
 
 def register_bases() -> None:
     """Install the eight Schur-like bases into the conversion registry:
-    sh and sh* from the shin tableau counts, the other six as the images
-    (token, name, source) below, which also tell the registry that the
-    involutions reindex between them.  rho only reverses indices of H and
-    M, so only rsh and rsh* pay for psi; this order fixes the order terms
-    print in."""
+    sh and sh* read off the shin K (strip chains) and K^-1 (Pieri
+    elimination), the other six as the images (token, name, source) below,
+    which also tell the registry that the involutions reindex between
+    them.  rho only reverses indices of H and M, so only rsh and rsh* pay
+    for psi; this order fixes the order terms print in."""
     if "sh" in core.bases():
         return
-    core.register_basis("sh", NSYM, _shin_reader(True, True), _shin_reader(False, True))
-    core.register_basis("sh*", QSYM, _shin_reader(False, False), _shin_reader(True, False))
+
+    def shin_kappa(n):  # looked up per call so that tab.kappa_matrix can be replaced
+        return tab.kappa_matrix("shin", n)
+
+    core.register_basis("sh", NSYM, _line_reader(_kappa_inverse, comps.compositions, True),
+                        _line_reader(shin_kappa, comps.compositions, True))
+    core.register_basis("sh*", QSYM, _line_reader(shin_kappa, comps.compositions, False),
+                        _line_reader(_kappa_inverse, comps.compositions, False))
     for token, name, source in (("rsh", "psi", "sh"), ("rsh*", "psi", "sh*"),
                                 ("fsh", "rho", "sh"), ("fsh*", "rho", "sh*"),
                                 ("bsh", "rho", "rsh"), ("bsh*", "rho", "rsh*")):
@@ -197,29 +205,42 @@ def jacobi_trudi(family: str, beta) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _pieri_elimination(alpha: tuple) -> tuple:
+def _pieri_elimination(alpha: tuple, sym: bool) -> tuple:
     """H-expansion of sh_alpha computed purely from the Pieri rule:
     sh_prefix * H_last expands as the sum over strip extensions, so
     sh_alpha is the product minus the other strips (each earlier in the
-    (length, last part) order).  Independent of the K-matrix route."""
+    (length, last part) order).  With `sym`, alpha is a partition and the
+    same body gives s_alpha in h: chi(sh_beta) is s_beta for a partition
+    beta and 0 otherwise, and the h's commute, so only partition
+    extensions are kept and each word is sorted."""
     if not alpha:
         return (((), 1),)
     prefix, r = alpha[:-1], alpha[-1]
+    word = comps.sort_to_partition if sym else tuple
     acc = {}
-    for comp, c in _pieri_elimination(prefix):
-        acc[comp + (r,)] = acc.get(comp + (r,), 0) + c
+    for comp, c in _pieri_elimination(prefix, sym):
+        key = word(comp + (r,))
+        acc[key] = acc.get(key, 0) + c
     for beta in tab.strip_extensions(prefix, r):
-        if beta == alpha:
+        if beta == alpha or sym and not comps.is_partition(beta):
             continue
-        for comp, c in _pieri_elimination(beta):
+        for comp, c in _pieri_elimination(beta, sym):
             acc[comp] = acc.get(comp, 0) - c
     return tuple(sorted((k, v) for k, v in acc.items() if v))
 
 
+def _eliminated(indices: tuple, sym: bool) -> tuple:
+    """The inverse tableau-count matrix over `indices`: column b is the
+    Pieri elimination of b."""
+    columns = [dict(_pieri_elimination(beta, sym)) for beta in indices]
+    return tuple(tuple(col.get(alpha, 0) for col in columns) for alpha in indices)
+
+
 def pieri_elimination(alpha) -> Element:
-    """Oracle route for sh_alpha in H, built only from strip extensions."""
+    """sh_alpha in H, built only from strip extensions: the production
+    route of sh -> H (`_kappa_inverse` reads its columns)."""
     alpha = comps.check_composition(alpha)
-    return Element._of(NSYM, {("H", c): v for c, v in _pieri_elimination(alpha)})
+    return Element._of(NSYM, {("H", c): v for c, v in _pieri_elimination(alpha, False)})
 
 
 # ---------------------------------------------------------------------------
@@ -405,70 +426,32 @@ def kostka_matrix(n: int) -> tuple:
     return tab.chain_matrix(comps.partitions(n), comps.is_partition)
 
 
-def _by_degree(coeffs):
-    out = {}
-    for lam, c in coeffs.items():
-        out.setdefault(sum(lam), {})[lam] = c
-    return out
+@lru_cache(maxsize=None)
+def _kostka_inverse(n: int) -> tuple:
+    """The inverse Kostka matrix over partitions(n): column lam is s_lam in
+    h, by Pieri elimination kept on partitions."""
+    return _eliminated(comps.partitions(n), True)
 
 
-def _kostka_reader(column: bool):
-    """Apply the Kostka matrix along its rows (s -> m: s_lam = sum_mu
-    K[lam][mu] m_mu) or along its columns (h -> s: h_mu = sum_lam
-    K[lam][mu] s_lam)."""
+def _sym_reader(matrix, column: bool):
+    """Apply matrix(n) to {partition: coeff} by rows (s -> m with K, m -> s
+    with K^-1) or by columns (h -> s with K, s -> h with K^-1)."""
+    line = _line_reader(matrix, comps.partitions, column)
+
     def apply(coeffs):
         out = {}
-        for n, piece in _by_degree(coeffs).items():
-            ps = comps.partitions(n)
-            kost = kostka_matrix(n)
-            for lam, c in piece.items():
-                i = bisect_left(ps, lam)  # the canonical list is sorted
-                line = (row[i] for row in kost) if column else kost[i]
-                for mu, v in zip(ps, line):
-                    if v:
-                        out[mu] = out.get(mu, 0) + c * v
-        return out
+        for lam, c in coeffs.items():
+            for mu, v in line(lam).items():
+                out[mu] = out.get(mu, 0) + c * v
+        return {mu: c for mu, c in out.items() if c}
 
     return apply
 
 
-_s_to_m = _kostka_reader(column=False)
-_h_to_s = _kostka_reader(column=True)
-
-
-def _kostka_solve(column: bool):
-    """Invert `_kostka_reader(column)` in the integers: given a, find d with
-    sum_i d_i line_i = a, where line_i is the row (m -> s) or the column
-    (s -> h) of K that the reader adds for index i.  K is unitriangular,
-    lower in the partition order, so d comes by peeling: walk the
-    partitions down (rows) or up (columns), and at each lam still in a set
-    d_lam = a_lam and subtract a_lam * line_lam.  Only the lines of the
-    indices met are read; one with the wrong diagonal, or with an entry on
-    the wrong side of it, raises."""
-    def solve(coeffs):
-        out = {}
-        for n, a in _by_degree(coeffs).items():
-            ps = comps.partitions(n)
-            kost = kostka_matrix(n)
-            lines = tuple(zip(*kost)) if column else kost
-            for i in (range(len(ps)) if column else reversed(range(len(ps)))):
-                c = a.get(ps[i])
-                if not c:
-                    continue
-                line = lines[i]
-                if line[i] != 1 or any(line[:i] if column else line[i + 1:]):
-                    raise ArithmeticError("Kostka matrix is not unitriangular")
-                out[ps[i]] = c
-                for mu, v in zip(ps, line):
-                    if v:
-                        a[mu] = a.get(mu, 0) - c * v
-        return out
-
-    return solve
-
-
-_m_to_s = _kostka_solve(column=False)
-_s_to_h = _kostka_solve(column=True)
+_s_to_m = _sym_reader(kostka_matrix, column=False)
+_h_to_s = _sym_reader(kostka_matrix, column=True)
+_m_to_s = _sym_reader(_kostka_inverse, column=False)
+_s_to_h = _sym_reader(_kostka_inverse, column=True)
 _TO_S = {"m": _m_to_s, "h": _h_to_s}
 _FROM_S = {"m": _s_to_m, "h": _s_to_h}
 

@@ -234,9 +234,10 @@ def _backtrack(shape: Shape, family: str, type_vec, collect: bool):
     remaining = list(type_vec)
     values = [0] * len(cells)
     out = [] if collect else 0
+    steps = 0
 
     def place(i):
-        nonlocal out
+        nonlocal out, steps
         if i == len(cells):
             if collect:
                 rows = []
@@ -257,6 +258,10 @@ def _backtrack(shape: Shape, family: str, type_vec, collect: bool):
                 continue
             if ui >= 0 and not col_ok(values[ui], v):
                 continue
+            steps += 1
+            if steps > comps.MAX_TABLEAU_STEPS:
+                raise ValueError(f"{family} tableaux of shape {list(shape.outer)} need more "
+                                 f"than {comps.MAX_TABLEAU_STEPS} placements, past the budget")
             remaining[v - 1] -= 1
             values[i] = v
             place(i + 1)

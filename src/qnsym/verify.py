@@ -164,9 +164,10 @@ def check_jt_vs_pieri(max_degree, rng):
     """The oracle triangle: matrix inversion, Pieri elimination, and the
     Jacobi-Trudi expansion by the creation operators must agree on strictly
     increasing indices.
+    The Pieri leg is production: the registered sh -> H reads its columns.
     The matrix leg inverts K counted by backtracking over tableaux, so that
-    it shares no code with the strip chains behind the Pieri leg and the
-    registered sh basis; the registered sh -> H must match it too."""
+    it shares no code with the strip extensions behind the Pieri leg; the
+    registered sh -> H must match it too."""
     cases, failures = 0, []
     for n in range(1, max_degree + 1):
         cs = comps.compositions(n)
@@ -252,11 +253,14 @@ def check_schur_bridge(max_degree, rng):
             if sl.schur_detect(term("bsh*", rev)) != sl.SymElement(
                     "s", {comps.conjugate(lam): 1}):
                 failures.append(f"bsh*{list(rev)} is not the conjugate Schur function")
-        # the strip-chain Kostka matrix against backtracking over fillings
-        ps = comps.partitions(n)
-        cases += 1
-        if sl.kostka_matrix(n) != tab.count_matrix("shin", ps):
+        # the strip-chain Kostka matrix against backtracking over fillings,
+        # and its inverse by Pieri elimination against the inverse of that
+        oracle = tab.count_matrix("shin", comps.partitions(n))
+        cases += 2
+        if sl.kostka_matrix(n) != oracle:
             failures.append(f"Kostka matrix at degree {n} differs from count_K")
+        if sl._kostka_inverse(n) != core.exact_inverse(oracle):
+            failures.append(f"inverse Kostka matrix at degree {n} differs from count_K's")
     # structure constants on partition indices = independently computed LR
     for total in range(2, max_degree + 1):
         for k in range(1, total):

@@ -115,6 +115,26 @@ def test_tableaux_count_lists_no_tableau(capsys, monkeypatch):
         assert capsys.readouterr().out == out
 
 
+
+@pytest.mark.parametrize("mode", ["count", "enumerate"])
+def test_tableaux_past_the_backtracking_budget_fail_fast_with_exit_1(capsys, mode):
+    import time
+
+    # 24024 standard tableaux, about 2.8 million placements
+    start = time.perf_counter()
+    assert cli.run(["tableaux", mode, "--family", "shin", "4,4,4,3", "--standard"]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "[4, 4, 4, 3] need more than 262144 placements, past the budget" in captured.err
+    # the golden count still answers, and so does the largest backtracking
+    # run of the test suite (4422 placements)
+    for argv, out in ((["3,4", "--type", "1,2,1,1,2"], "3\n"),
+                      (["3,2,1,1,1,1", "--standard"], "105\n")):
+        assert cli.run(["tableaux", "count", "--family", "shin"] + argv) == 0
+        assert capsys.readouterr().out == out, argv
+
 def test_strips(capsys):
     assert cli.run(["strips", "2,3,1", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
