@@ -17,7 +17,7 @@ import sys
 from . import core
 from . import schurlike as sl
 from . import tableaux as tab
-from .core import Element, antipode, coproduct, involution, multiply, pair, term
+from .core import Element, antipode, coproduct, involution, multiply, pair
 
 
 class CLIError(Exception):

@@ -16,9 +16,10 @@ every term, merged, then the right.  The involutions have closed forms on
 the canonical bases: rho reverses the index of H_a and M_a, psi(H_a) = E_a,
 psi(M_a) is a signed sum over the coarsenings of a, omega = rho psi, and
 the antipode is (-1)^degree omega.  A basis registered as the image of
-another (E = psi(H), and the Schur-like bases transported from shin) is
-reached from it by reindexing alone, so an involution into that partner
-basis, and the antipode, skip the canonical round trip.
+another (E = psi(H), and the Schur-like bases transported from shin, whose
+maps are derived from the image) is reached from it by reindexing alone,
+so an involution into that partner basis, and the antipode, skip the
+canonical round trip.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -79,15 +80,20 @@ def _close_partners() -> None:
                         grew = True
 
 
-def register_basis(token: str, algebra: str, expand, unexpand, image=None) -> None:
+def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=None) -> None:
     """Install a basis: `expand` and `unexpand` map one index to {comp: int}
     in and out of the canonical basis.  `image=(name, source)` states that
-    token_a = name(source_fix(a)) (fix reverses a for rho and omega), so the
-    involutions reindex between the two bases instead of converting."""
+    token_a = name(source_fix(a)) (fix reverses a for rho and omega): the
+    involutions reindex between the two bases, and, given without maps, it
+    derives them.  A basis with neither is refused."""
     if algebra not in (NSYM, QSYM):
         raise ValueError(f"unknown algebra {algebra!r}")
     if token in _REGISTRY:
         raise ValueError(f"basis {token!r} already registered")
+    if expand is None and unexpand is None and image is not None:
+        expand, unexpand = _transported(*image)
+    if expand is None or unexpand is None:
+        raise ValueError(f"basis {token!r} needs both expansion maps or an image")
     _REGISTRY[token] = _BasisInfo(algebra, expand, unexpand)
     if token not in _TOKEN_ORDER:
         _TOKEN_ORDER.append(token)
@@ -98,6 +104,23 @@ def register_basis(token: str, algebra: str, expand, unexpand, image=None) -> No
         _close_partners()
     _expand.cache_clear()
     _unexpand.cache_clear()
+
+
+def _transported(name: str, source: str):
+    """Expand/unexpand maps of X = name(source): X_a = name(source[fix(a)]),
+    fix reversing a for rho and omega.  Both take the canonical route of the
+    involution: its reindex into X is what the registration defines."""
+    canonical = CANONICAL[algebra_of(source)]
+    fix = _FIX[name]
+
+    def expand(comp):
+        return _involute(term(source, fix(comp)), name, False, canonical).canonical_dict()
+
+    def unexpand(comp):
+        image = _involute(term(canonical, comp), name, False, source)
+        return {fix(c): v for (_, c), v in image.terms.items()}
+
+    return expand, unexpand
 
 
 def bases(algebra=None) -> tuple:

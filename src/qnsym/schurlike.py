@@ -12,24 +12,25 @@ that build C[i] (the right Pieri rule sh_a H_r = sum of sh over the strip
 extensions of a by r boxes).  The same rule gives K^-1 with no solve: sh_a
 is sh_prefix H_last minus sh over the prefix's other strip extensions
 (Pieri elimination); kept on partitions, the chains and the elimination
-give the Kostka matrix and its inverse.  The other pairs are its images
-psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a) and rho(rsh_a) = bsh_rev(a)
-(starred alike; `verify` checks omega(sh_a) = bsh_rev(a)), and their own
-tableau counts are the oracle of `verify tableaux`.  On top of the bases
-live the Pieri rules, the beth creation operators, Jacobi-Trudi expansions
-(the creation operators folded over the index), ribbon multiplication,
-skew and skew-II functions, structure coefficients, coproduct formulas,
-and the bridge to symmetric functions.  The Pieri, Jacobi-Trudi and
-ribbon routes work for sh and reach the other families by the involution
-that builds them; a ribbon product runs the Pieri rule word by word, so
-no tableau is enumerated here.
+give the Kostka matrix and its inverse.  The other pairs are registered as
+its images psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a), rho(rsh_a) =
+bsh_rev(a) (starred alike; `verify` checks omega(sh_a) = bsh_rev(a)),
+which is all the registry needs to derive their maps; their own tableau
+counts are the oracle of `verify tableaux`.  On top of the bases live the
+Pieri rules, the beth creation operators, Jacobi-Trudi expansions (the
+creation operators folded over the index), ribbon multiplication, skew and
+skew-II functions, structure coefficients, coproduct formulas, and the
+bridge to symmetric functions.  The Pieri, Jacobi-Trudi and ribbon routes
+work for sh and reach the other families by `core.involution` alone; a
+ribbon product runs the Pieri rule word by word, so no tableau is
+enumerated here.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -57,18 +58,14 @@ def family_name(family: str) -> str:
 
 
 def _transport(family: str):
-    """X_a = name(sh_fix(a)) for the family's basis X, the involution read
-    off X's Pieri rule: a left side means rho, the generator E psi, both
-    omega, and shin needs none.  Returns fix and `carry`, which takes
-    {index: coeff} in a basis through the involution by one reindex."""
+    """`core.involution` by the involution that builds the family's basis X
+    from sh, read off X's Pieri rule (a left side means rho, the generator E
+    psi, both omega; shin needs none): X_a to sh_fix(a) and back, a reindex."""
     left, e = PIERI_SIDE[family] == "left", PIERI_GENERATOR[family] == "E"
     name = ("omega" if e else "rho") if left else ("psi" if e else None)
-
-    def carry(basis, coeffs):
-        x = Element._of(NSYM, {(basis, comp): c for comp, c in coeffs.items()})
-        return core.involution(name, x) if name else x
-
-    return core._FIX.get(name, tuple), carry
+    if name is None:
+        return lambda x, basis=None: x.convert(basis) if basis else x
+    return partial(core.involution, name)
 
 
 # ---------------------------------------------------------------------------
@@ -96,30 +93,13 @@ def _kappa_inverse(n: int) -> tuple:
     return _eliminated(comps.compositions(comps.check_dense_degree(n)), False)
 
 
-def _transported(name: str, source: str):
-    """Expand/unexpand maps of X = name(source): X_a = name(source[fix(a)]),
-    fix reversing a for rho and omega.  Both take the canonical route of the
-    involution: its reindex into X is what this registration defines."""
-    canonical = core.CANONICAL[core.algebra_of(source)]
-    fix = core._FIX[name]
-
-    def expand(comp):
-        return core._involute(term(source, fix(comp)), name, False, canonical).canonical_dict()
-
-    def unexpand(comp):
-        image = core._involute(term(canonical, comp), name, False, source)
-        return {fix(c): v for (_, c), v in image.terms.items()}
-
-    return expand, unexpand
-
-
 def register_bases() -> None:
     """Install the eight Schur-like bases into the conversion registry:
     sh and sh* read off the shin K (strip chains) and K^-1 (Pieri
-    elimination), the other six as the images (token, name, source) below,
-    which also tell the registry that the involutions reindex between
-    them.  rho only reverses indices of H and M, so only rsh and rsh* pay
-    for psi; this order fixes the order terms print in."""
+    elimination), the other six by their images (token, name, source) below,
+    from which the registry derives their maps and reindexes them.  rho only
+    reverses indices of H and M, so only rsh and rsh* pay for psi; this order
+    fixes the order terms print in."""
     if "sh" in core.bases():
         return
 
@@ -133,8 +113,7 @@ def register_bases() -> None:
     for token, name, source in (("rsh", "psi", "sh"), ("rsh*", "psi", "sh*"),
                                 ("fsh", "rho", "sh"), ("fsh*", "rho", "sh*"),
                                 ("bsh", "rho", "rsh"), ("bsh*", "rho", "rsh*")):
-        core.register_basis(token, core.algebra_of(source), *_transported(name, source),
-                            image=(name, source))
+        core.register_basis(token, core.algebra_of(source), image=(name, source))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +131,9 @@ def pieri(family: str, alpha, r: int, side=None, generator=None) -> Element:
         raise ValueError(f"{family} has a {want_side} Pieri rule, not {side}")
     if generator is not None and generator != want_gen:
         raise ValueError(f"{family}'s Pieri rule multiplies by {want_gen}_r, not {generator}_r")
-    fix, carry = _transport(family)
-    return carry("sh", {beta: 1 for beta in tab.strip_extensions(fix(alpha), r)})
+    carry = _transport(family)
+    (_, base), = carry(term(NSYM_TOKEN[family], alpha)).terms
+    return carry(Element._of(NSYM, {("sh", beta): 1 for beta in tab.strip_extensions(base, r)}))
 
 
 def beth(m: int, x: Element) -> Element:
@@ -190,10 +170,10 @@ def jacobi_trudi(family: str, beta) -> Element:
     0 < m < a_1, from sh_(last part) = H_(last part)."""
     family = family_name(family)
     beta = comps.check_composition(beta)
-    fix, carry = _transport(family)
-    base = fix(beta)
+    carry = _transport(family)
+    (_, base), = carry(term(NSYM_TOKEN[family], beta)).terms
     if any(a >= b for a, b in zip(base, base[1:])):
-        order = "decreasing" if fix is comps.reverse else "increasing"
+        order = "decreasing" if PIERI_SIDE[family] == "left" else "increasing"
         raise ValueError(f"no determinant expansion for {beta}: the index must be strictly "
                          f"{order} (the (2,2,4) expansion cannot be written this way)")
     # the expansion has one word per restricted permutation, 2^(parts - 1)
@@ -201,7 +181,7 @@ def jacobi_trudi(family: str, beta) -> Element:
     x = term("H", base[-1:])
     for m in reversed(base[:-1]):
         x = beth(m, x)
-    return carry("H", x.canonical_dict())
+    return carry(x)
 
 
 @lru_cache(maxsize=None)
@@ -248,20 +228,20 @@ def pieri_elimination(alpha) -> Element:
 
 def ribbon_multiply(family: str, alpha, beta) -> Element:
     """The product of the family basis element with R_beta on the family's
-    side: R_beta in the family's Pieri generator (a listing refused past
-    `comps.MAX_REFINEMENTS`), each word carried to an H-word that the shin
-    Pieri rule applies part by part at the carried index."""
+    side: the involution's image of R_beta in H (a listing refused past
+    `comps.MAX_REFINEMENTS`), whose words the shin Pieri rule applies part
+    by part at the carried index, carried back."""
     family = family_name(family)
     alpha = comps.check_composition(alpha)
     beta = comps.check_composition(beta)
-    fix, carry = _transport(family)
-    ribbon = term("R", beta).convert(PIERI_GENERATOR[family])
-    words = {fix(word): c for (_, word), c in ribbon.terms.items()}
+    carry = _transport(family)
+    words = {word: c for (_, word), c in carry(term("R", beta), basis="H").terms.items()}
+    (_, base), = carry(term(NSYM_TOKEN[family], alpha)).terms
     out = {}
-    for word, counts in tab.strip_chains(fix(alpha), words):
+    for word, counts in tab.strip_chains(base, words):
         for gamma, m in counts.items():
             out[gamma] = out.get(gamma, 0) + words[word] * m
-    return carry("sh", out)
+    return carry(Element._of(NSYM, {("sh", gamma): c for gamma, c in out.items()}))
 
 
 def skew(family: str, outer, inner) -> Element:

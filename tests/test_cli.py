@@ -208,6 +208,45 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["jacobi-trudi", "--family", "sh", "[]"], "empty composition not allowed here"),
+    (["beth", "2", "M[1]"], "beth expects a NSym element, got QSym"),
+    (["expand", "--basis", "X", "H[1]"], "unknown basis token 'X'"),
+    (["pair", "H[1]", "E[1]"], "pair needs one NSym and one QSym element"),
+    (["chi", "--basis", "e", "H[2]"], "unknown Sym basis 'e'"),
+    (["tableaux", "count", "--family", "shin", "2,1"],
+     "give exactly one of --type or --standard"),
+    (["tableaux", "count", "--family", "shin", "2,1", "--type", "1,1,1", "--standard"],
+     "give exactly one of --type or --standard"),
+    (["transition-matrix", "X", "H", "2"], "unknown basis token 'X'"),
+    (["transition-matrix", "H", "M", "2"],
+     "source and target bases live in different algebras"),
+])
+def test_every_usage_error_branch_exits_2_with_one_error_line(capsys, argv, message):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_type_of_the_wrong_size_counts_no_tableau(capsys):
+    assert cli.run(["tableaux", "count", "--family", "shin", "2,1", "--type", "1,1"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
+def test_a_failing_suite_prints_its_reproducers_and_exits_1(capsys, monkeypatch):
+    from qnsym import verify
+
+    def fails(max_degree, rng):
+        return 3, ["first reproducer", "second reproducer"]
+
+    monkeypatch.setitem(verify.IDENTITIES, "duality", (fails, 2))
+    assert cli.run(["verify", "--identity", "duality"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("duality: degrees <= 2, 3 cases, 2 failures\n"
+                            "  first reproducer\n  second reproducer\n")
+    assert captured.err.startswith("duality: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "H[1_0]"],
     ["expand", "H[٣]"],

@@ -207,3 +207,59 @@ def test_fractions_only_in_exact_inverse_module():
             if any(n.split(".")[0] == "fractions" for n in names):
                 importers.add(path.name)
     assert importers == set()
+
+
+# --- module boundaries and lint ---------------------------------------------------
+
+def test_schurlike_reads_no_private_core_name_but_the_combination_base():
+    """The Schur-like bases and their operations go through the registry and
+    the public involutions: `core._Combination`, the base of SymElement, is
+    the only private core name schurlike may use."""
+    tree = ast.parse((SRC / "schurlike.py").read_text())
+    private = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "core" and node.attr.startswith("_")):
+            private.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("core"):
+            private.update(a.name for a in node.names if a.name.startswith("_"))
+    assert private <= {"_Combination"}
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads: every Name it loads and the
+    root of every dotted name count as reads, and so does a name listed in a
+    string annotation."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                annotation = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A stand-in for a linter's unused-import rule; the package __init__
+    imports to re-export and to register the bases, so it is exempt."""
+    unused = {path.name: _unused_imports(path) for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_the_unused_import_scan_sees_an_unused_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\nimport os.path as osp\nfrom x import a, b\n"
+                      "def f(y: 'a') -> None:\n    return osp.join(y)\n")
+    assert _unused_imports(module) == [(1, "os"), (3, "b")]

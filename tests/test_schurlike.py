@@ -862,6 +862,55 @@ def test_the_reindexed_bases_and_their_partners():
         t: core._PARTNER["rho"][p] for t, p in core._PARTNER["psi"].items()}
 
 
+TRANSPORTED = (("rsh", "psi", "sh"), ("rsh*", "psi", "sh*"), ("fsh", "rho", "sh"),
+               ("fsh*", "rho", "sh*"), ("bsh", "rho", "rsh"), ("bsh*", "rho", "rsh*"))
+
+
+def _transported(name, source):
+    """The maps schurlike built for each image basis before the registry
+    derived them, kept as the reference: X_a = name(source_fix(a)) through
+    the involution's canonical route."""
+    canonical = core.CANONICAL[core.algebra_of(source)]
+    fix = core._FIX[name]
+
+    def expand(comp):
+        return core._involute(term(source, fix(comp)), name, False, canonical).canonical_dict()
+
+    def unexpand(comp):
+        image = core._involute(term(canonical, comp), name, False, source)
+        return {fix(c): v for (_, c), v in image.terms.items()}
+
+    return expand, unexpand
+
+
+def test_the_registry_derives_the_maps_of_the_transported_bases():
+    """Every transported basis is registered by its image alone, and the
+    maps the registry derives equal the hand-built ones on every index
+    through degree 8."""
+    for tok, name, source in TRANSPORTED:
+        assert core._PARTNER[name][source] == tok and core._PARTNER[name][tok] == source
+        info = core._REGISTRY[tok]
+        assert info.algebra == core.algebra_of(source)
+        expand, unexpand = _transported(name, source)
+        for a in comps_upto(8):
+            assert info.expand(a) == expand(a), (tok, a)
+            assert info.unexpand(a) == unexpand(a), (tok, a)
+
+
+def test_e_keeps_its_closed_form_maps():
+    assert core._REGISTRY["E"].expand is core._E_H
+    assert core._REGISTRY["E"].unexpand is core._E_H
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"expand": dict}, {"unexpand": dict}])
+def test_a_basis_with_neither_maps_nor_an_image_is_refused(kwargs):
+    before = core.bases()
+    with pytest.raises(ValueError, match="needs both expansion maps or an image"):
+        core.register_basis("X", core.NSYM, **kwargs)
+    assert core.bases() == before
+    assert "X" not in core._TOKEN_ORDER
+
+
 def test_reindexing_matches_the_canonical_route_on_every_basis_element():
     """Into the default basis and the partner to degree 7, into every basis
     to degree 6 (every basis at degree 7 alone takes about 10 s)."""
