@@ -15,11 +15,14 @@ converted back.  A tensor converts one leg at a time: the left leg of
 every term, merged, then the right.  The involutions have closed forms on
 the canonical bases: rho reverses the index of H_a and M_a, psi(H_a) = E_a,
 psi(M_a) is a signed sum over the coarsenings of a, omega = rho psi, and
-the antipode is (-1)^degree omega.  A basis registered as the image of
-another (E = psi(H), and the Schur-like bases transported from shin, whose
-maps are derived from the image) is reached from it by reindexing alone,
-so an involution into that partner basis, and the antipode, skip the
-canonical round trip.
+the antipode is (-1)^degree omega.  On the ribbon basis R and the
+fundamental basis F each involution is a pure reindex: psi complements the
+index, rho reverses it and omega transposes it.  A basis registered as the
+image of another (E = psi(H), and the Schur-like bases transported from
+shin, whose maps are derived from the image) is reached from it by
+reindexing alone.  So an involution of an element of R, F or a registered
+image into its partner basis, and the antipode, skip the canonical round
+trip; mixed supports and the other bases take it.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -53,17 +56,32 @@ class _BasisInfo(NamedTuple):
 
 _REGISTRY: dict = {}
 
-# The reindexing involutions: name(X_a) = _PARTNER[name][X]_fix(a), with fix
-# = _FIX[name].  rho reverses the index of H_a and M_a; `register_basis`
-# adds each basis's stated image, and `_close_partners` the pairs they imply.
+# The reindexing involutions: name(X_a) = _PARTNER[name][X]_f(a), with the
+# index map f = _INDEX_MAP[name][X].  The maps are the Klein four-group
+# _KLEIN: each is its own inverse, and any two compose to the third, which
+# sits at the XOR of their positions (transpose = reverse . complement).  The
+# closed forms seed the tables: rho reverses the indices of H, M, R and F,
+# and psi complements those of R and F.  `register_basis` adds each basis's
+# stated image with the map _FIX[name], and `_close_partners` the pairs they
+# imply (psi(H) = E arrives so, and omega everywhere).
+_KLEIN = (tuple, comps.reverse, comps.complement, comps.transpose)
 _FIX = {"psi": tuple, "rho": comps.reverse, "omega": comps.reverse}
-_PARTNER = {"psi": {}, "rho": {"H": "H", "M": "M"}, "omega": {}}
+_PARTNER = {"psi": {}, "rho": {}, "omega": {}}
+_INDEX_MAP = {"psi": {}, "rho": {}, "omega": {}}
+
+
+def _pair(name: str, x: str, y: str, index_map) -> None:
+    """Record name(x_a) = y_index_map(a) and, the map being an involution,
+    name(y_b) = x_index_map(b)."""
+    _PARTNER[name][x], _PARTNER[name][y] = y, x
+    _INDEX_MAP[name][x] = _INDEX_MAP[name][y] = index_map
 
 
 def _close_partners() -> None:
     """Add every reindex that the recorded ones imply: each involution is its
     own inverse, and any two of psi, rho, omega compose to the third, so
-    h(X) = f(g(X)) whenever g reindexes X and f reindexes g(X)."""
+    h(X_a) = Z_(f_map . g_map)(a) whenever g reindexes X into Y and f
+    reindexes Y into Z."""
     grew = True
     while grew:
         grew = False
@@ -75,9 +93,16 @@ def _close_partners() -> None:
                 for x, y in list(_PARTNER[g].items()):
                     z = _PARTNER[f].get(y)
                     if z is not None and x not in _PARTNER[h]:
-                        _PARTNER[h][x] = z
-                        _PARTNER[h][z] = x
+                        composed = _KLEIN.index(_INDEX_MAP[f][y]) ^ _KLEIN.index(_INDEX_MAP[g][x])
+                        _pair(h, x, z, _KLEIN[composed])
                         grew = True
+
+
+for _basis in ("H", "M", "R", "F"):
+    _pair("rho", _basis, _basis, comps.reverse)
+for _basis in ("R", "F"):
+    _pair("psi", _basis, _basis, comps.complement)
+_close_partners()
 
 
 def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=None) -> None:
@@ -99,8 +124,7 @@ def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=N
         _TOKEN_ORDER.append(token)
     if image is not None:
         name, source = image
-        _PARTNER[name][source] = token
-        _PARTNER[name][token] = source
+        _pair(name, source, token, _FIX[name])
         _close_partners()
     _expand.cache_clear()
     _unexpand.cache_clear()
@@ -701,10 +725,11 @@ def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
     return Element._of(x.algebra, {(canonical, c): v for c, v in out.items()}).convert(basis)
 
 
-def _reindexed(x: Element, name: str, signed: bool, partner: str) -> Element:
+def _reindexed(x: Element, name: str, signed: bool, support: str) -> Element:
     """x, supported on one basis X that `name` reindexes, under `name` (with
-    the sign (-1)^degree if `signed`): name(X_a) = partner_fix(a)."""
-    fix = _FIX[name]
+    the sign (-1)^degree if `signed`): name(X_a) = partner_f(a), f the index
+    map of the pair."""
+    partner, fix = _PARTNER[name][support], _INDEX_MAP[name][support]
     return Element._of(x.algebra, {
         (partner, fix(comp)): -coeff if signed and sum(comp) % 2 else coeff
         for (_, comp), coeff in x._terms.items()})
@@ -715,11 +740,11 @@ def _apply(name: str, x: Element, signed: bool, basis: str) -> Element:
     in `basis`.  On a basis that `name` reindexes it is the reindex into the
     partner, converted unless `basis` is the partner; otherwise it takes the
     canonical route."""
-    partner = _PARTNER[name].get(x.support_basis())
-    if partner is None:
+    support = x.support_basis()
+    if support not in _PARTNER[name]:
         return _involute(x, name, signed, basis)
-    image = _reindexed(x, name, signed, partner)
-    return image if basis == partner else image.convert(basis)
+    image = _reindexed(x, name, signed, support)
+    return image if basis == _PARTNER[name][support] else image.convert(basis)
 
 
 def involution(name: str, x: Element, basis=None) -> Element:

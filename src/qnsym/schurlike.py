@@ -184,35 +184,39 @@ def jacobi_trudi(family: str, beta) -> Element:
     return carry(x)
 
 
-@lru_cache(maxsize=None)
-def _pieri_elimination(alpha: tuple, sym: bool) -> tuple:
+def _pieri_elimination(alpha: tuple, sym: bool, memo: dict) -> tuple:
     """H-expansion of sh_alpha computed purely from the Pieri rule:
     sh_prefix * H_last expands as the sum over strip extensions, so
     sh_alpha is the product minus the other strips (each earlier in the
     (length, last part) order).  With `sym`, alpha is a partition and the
     same body gives s_alpha in h: chi(sh_beta) is s_beta for a partition
     beta and 0 otherwise, and the h's commute, so only partition
-    extensions are kept and each word is sorted."""
+    extensions are kept and each word is sorted.  `memo` holds the
+    expansions of one caller, which drops them when it returns."""
+    if alpha in memo:
+        return memo[alpha]
     if not alpha:
         return (((), 1),)
     prefix, r = alpha[:-1], alpha[-1]
     word = comps.sort_to_partition if sym else tuple
     acc = {}
-    for comp, c in _pieri_elimination(prefix, sym):
+    for comp, c in _pieri_elimination(prefix, sym, memo):
         key = word(comp + (r,))
         acc[key] = acc.get(key, 0) + c
     for beta in tab.strip_extensions(prefix, r):
         if beta == alpha or sym and not comps.is_partition(beta):
             continue
-        for comp, c in _pieri_elimination(beta, sym):
+        for comp, c in _pieri_elimination(beta, sym, memo):
             acc[comp] = acc.get(comp, 0) - c
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+    memo[alpha] = tuple(sorted((k, v) for k, v in acc.items() if v))
+    return memo[alpha]
 
 
 def _eliminated(indices: tuple, sym: bool) -> tuple:
     """The inverse tableau-count matrix over `indices`: column b is the
     Pieri elimination of b."""
-    columns = [dict(_pieri_elimination(beta, sym)) for beta in indices]
+    memo = {}
+    columns = [dict(_pieri_elimination(beta, sym, memo)) for beta in indices]
     return tuple(tuple(col.get(alpha, 0) for col in columns) for alpha in indices)
 
 
@@ -220,7 +224,7 @@ def pieri_elimination(alpha) -> Element:
     """sh_alpha in H, built only from strip extensions: the production
     route of sh -> H (`_kappa_inverse` reads its columns)."""
     alpha = comps.check_composition(alpha)
-    return Element._of(NSYM, {("H", c): v for c, v in _pieri_elimination(alpha, False)})
+    return Element._of(NSYM, {("H", c): v for c, v in _pieri_elimination(alpha, False, {})})
 
 
 # ---------------------------------------------------------------------------

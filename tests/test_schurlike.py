@@ -418,10 +418,23 @@ def test_ribbon_multiply_enumerates_no_tableau(monkeypatch):
 
 
 def test_ribbon_multiply_refuses_past_the_coarsening_budget():
-    ones = (1,) * 19  # 2^18 coarsenings
+    # sh and fsh list R_beta in H, rsh and bsh its image R_beta^c or R_beta^t:
+    # 1^19 and (19), the complement and transpose of each other, have 2^18
     for fam in FAMILY_TOKENS:
+        beta = (19,) if fam in ("rsh", "bsh") else (1,) * 19
         with pytest.raises(ValueError, match="has 2\\^18 coarsenings, past the budget"):
-            sl.ribbon_multiply(fam, (1,), ones)
+            sl.ribbon_multiply(fam, (1,), beta)
+
+
+def test_ribbon_multiply_by_r_of_ones_is_the_e_pieri_rule():
+    """R_(1^n) = E_n, so rsh and bsh, whose Pieri rules multiply by E, answer
+    1^19 from the one H-word of its complement (transpose)."""
+    ones = (1,) * 19
+    # compared term by term: degree 20 is past the dense budget of ==
+    got = {fam: dict(sl.ribbon_multiply(fam, (1,), ones).terms) for fam in ("rsh", "bsh")}
+    assert got["rsh"] == {("rsh", (1, 19)): 1, ("rsh", (19, 1)): 1, ("rsh", (20,)): 1}
+    for fam in ("rsh", "bsh"):
+        assert got[fam] == dict(sl.pieri(fam, (1,), 19).terms), fam
 
 
 # --- skew and skew-II ---------------------------------------------------------
@@ -850,16 +863,25 @@ def _reindexed_bases():
 
 
 def test_the_reindexed_bases_and_their_partners():
-    assert _reindexed_bases() == sorted(("H", "E", "M") + tuple(sl.NSYM_TOKEN.values())
+    assert _reindexed_bases() == sorted(("H", "E", "M", "R", "F") + tuple(sl.NSYM_TOKEN.values())
                                         + tuple(sl.QSYM_TOKEN.values()))
     assert core._PARTNER["psi"] == {"H": "E", "E": "H", "sh": "rsh", "rsh": "sh",
                                     "fsh": "bsh", "bsh": "fsh", "sh*": "rsh*",
-                                    "rsh*": "sh*", "fsh*": "bsh*", "bsh*": "fsh*"}
+                                    "rsh*": "sh*", "fsh*": "bsh*", "bsh*": "fsh*",
+                                    "R": "R", "F": "F"}
     assert core._PARTNER["rho"] == {"H": "H", "E": "E", "M": "M", "sh": "fsh", "fsh": "sh",
                                     "rsh": "bsh", "bsh": "rsh", "sh*": "fsh*", "fsh*": "sh*",
-                                    "rsh*": "bsh*", "bsh*": "rsh*"}
+                                    "rsh*": "bsh*", "bsh*": "rsh*", "R": "R", "F": "F"}
     assert core._PARTNER["omega"] == {
         t: core._PARTNER["rho"][p] for t, p in core._PARTNER["psi"].items()}
+    # the index maps: R and F complement, reverse and transpose; every other
+    # psi pair keeps the index, every other rho and omega pair reverses it
+    maps = {"psi": comps.complement, "rho": comps.reverse, "omega": comps.transpose}
+    for name, partners in core._PARTNER.items():
+        assert set(core._INDEX_MAP[name]) == set(partners), name
+        for tok, index_map in core._INDEX_MAP[name].items():
+            want = maps[name] if tok in ("R", "F") else (tuple if name == "psi" else comps.reverse)
+            assert index_map is want, (name, tok)
 
 
 TRANSPORTED = (("rsh", "psi", "sh"), ("rsh*", "psi", "sh*"), ("fsh", "rho", "sh"),
@@ -954,7 +976,7 @@ def test_partner_involutions_of_schurlike_bases_never_convert(monkeypatch):
     def refuse(*args):
         raise AssertionError("converted through the canonical basis")
 
-    tokens = tuple(sl.NSYM_TOKEN.values()) + tuple(sl.QSYM_TOKEN.values())
+    tokens = ("R", "F") + tuple(sl.NSYM_TOKEN.values()) + tuple(sl.QSYM_TOKEN.values())
     cases = [(name, term(tok, a)) for tok in tokens for a in comps_upto(6)
              for name in INVOLUTIONS + ("S",)]
     partner = {name: core._PARTNER["omega" if name == "S" else name] for name, _ in cases}
@@ -1322,12 +1344,10 @@ def test_sym_elimination_stays_on_partitions(monkeypatch):
         return true_strips(alpha, r)
 
     monkeypatch.setattr(tab, "strip_extensions", recording)
-    sl._pieri_elimination.cache_clear()
     sl._kostka_inverse.cache_clear()
     try:
         sl._kostka_inverse(9)
     finally:
         monkeypatch.undo()
-        sl._pieri_elimination.cache_clear()
         sl._kostka_inverse.cache_clear()
     assert seen and all(comps.is_partition(alpha) for alpha in seen), sorted(seen)
