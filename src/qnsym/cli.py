@@ -168,8 +168,7 @@ def cmd_antipode(args):
 
 def cmd_pieri(args):
     alpha = parse_composition(args.alpha)
-    emit_element(args, sl.pieri(args.family, alpha, args.r,
-                                side=args.side, generator=args.generator))
+    emit_element(args, sl.pieri(args.family, alpha, args.r))
 
 
 def cmd_beth(args):
@@ -257,11 +256,12 @@ def cmd_tableaux(args):
     if (args.type is None) == (not args.standard):
         raise CLIError(2, "give exactly one of --type or --standard")
     type_vec = (1,) * shape.size if args.standard else parse_composition(args.type)
+    family = sl.family_name(args.family)
     if args.mode == "count":
-        count = tab.count_tableaux(shape, args.family, type_vec)
+        count = tab.count_tableaux(shape, family, type_vec)
         emit(args, str(count), {"count": count})
         return
-    found = tab.enumerate_tableaux(shape, args.family, type_vec)
+    found = tab.enumerate_tableaux(shape, family, type_vec)
     if args.json:
         print(json.dumps([t.to_json_dict() for t in found]))
     else:
@@ -389,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
     p.add_argument("alpha")
     p.add_argument("r", type=integer)
-    p.add_argument("--side", choices=("left", "right"))
-    p.add_argument("--generator", choices=("H", "E"))
 
     p = add("beth", cmd_beth, help="apply the creation operator to an NSym element")
     p.add_argument("m", type=integer)
@@ -476,9 +474,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # normalize family argument for the tableaux command
-    if getattr(args, "family", None) in sl.FAMILY_OF_TOKEN:
-        args.family = sl.FAMILY_OF_TOKEN[args.family]
     try:
         status = args.func(args)
     except CLIError as exc:

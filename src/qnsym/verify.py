@@ -230,15 +230,15 @@ def check_antipode_shin(max_degree, rng):
 
 def check_coproducts(max_degree, rng):
     cases, failures = 0, []
-    for n in range(max_degree + 1):
-        for alpha in comps.compositions(n):
-            want = coproduct(term("sh*", alpha)).convert("M", "M")
+    for family, qtok in sl.QSYM_TOKEN.items():
+        for alpha in _comps_through(max_degree):
+            want = coproduct(term(qtok, alpha)).convert("M", "M")
             for variant in ("skew", "skew2"):
                 cases += 1
-                got = sl.coproduct_formula("sh", alpha, variant)
+                got = sl.coproduct_formula(family, alpha, variant)
                 if got.convert("M", "M") != want:
                     failures.append(
-                        f"coproduct formula ({variant}) fails at sh*{list(alpha)}")
+                        f"coproduct formula ({variant}) fails at {qtok}{list(alpha)}")
     return cases, failures
 
 

@@ -369,6 +369,12 @@ def test_skew_warning_not_on_stdout(capsys, recwarn):
     assert out == "0\n"
 
 
+def test_skew_outside_top_alignment_is_perp(capsys):
+    # <fsh_2 fsh_1, fsh*_12> = 1 although (2) is not top-aligned in (1,2)
+    assert cli.run(["skew", "--family", "fsh", "1,2", "2"]) == 0
+    assert capsys.readouterr() == ("M[1]\n", "")
+
+
 # --- json and determinism -------------------------------------------------------
 
 def test_json_output(capsys):
