@@ -323,8 +323,7 @@ def cmd_verify(args):
             if n not in verify_mod.IDENTITIES:
                 raise CLIError(2, f"unknown identity {n!r}; choose from "
                                   f"{', '.join(sorted(verify_mod.IDENTITIES))}")
-    reports = [verify_mod.verify(n, max_degree=args.max_degree, seed=args.seed)
-               for n in names]
+    reports = [verify_mod.verify(n, max_degree=args.max_degree) for n in names]
     if args.json:
         print(json.dumps([
             {"identity": r.identity, "max_degree": r.max_degree,
@@ -405,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha")
     p.add_argument("beta")
 
-    p = add("skew", cmd_skew, help="skew function of a family (top-aligned removal)")
+    p = add("skew", cmd_skew, help="skew function of a family: the perp of its dual pair")
     p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
     p.add_argument("outer")
     p.add_argument("inner")
 
     p = add("skew2", cmd_skew2,
-            help="skew-II function of a family (bottom-aligned removal)")
+            help="skew-II function of a family: the right-perp of its dual pair")
     p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
     p.add_argument("outer")
     p.add_argument("inner")
@@ -463,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="run identity suites")
     p.add_argument("--identity", help="comma-separated names (default: all)")
     p.add_argument("--max-degree", type=integer)
-    p.add_argument("--seed", type=integer, default=0)
 
     return parser
 

@@ -60,7 +60,7 @@ _REGISTRY: dict = {}
 # index map f = _INDEX_MAP[name][X].  The maps are the Klein four-group
 # _KLEIN: each is its own inverse, and any two compose to the third, which
 # sits at the XOR of their positions (transpose = reverse . complement).  The
-# closed forms seed the tables: rho reverses the indices of H, M, R and F,
+# closed forms start the tables: rho reverses the indices of H, M, R and F,
 # and psi complements those of R and F.  `register_basis` adds each basis's
 # stated image with the map _FIX[name], and `_close_partners` the pairs they
 # imply (psi(H) = E arrives so, and omega everywhere).

@@ -125,6 +125,8 @@ def pieri(family: str, alpha, r: int) -> Element:
     the shin strip extensions of the carried index, carried back."""
     family = family_name(family)
     alpha = comps.check_composition(alpha)
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError("strip size must be an integer")
     if r < 0:
         raise ValueError("strip size must be nonnegative")
     carry = _transport(family)
@@ -135,7 +137,7 @@ def pieri(family: str, alpha, r: int) -> Element:
 def beth(m: int, x: Element) -> Element:
     """The creation operator on NSym: on the H basis it prepends m and
     subtracts the word with m slipped behind the first part."""
-    if not isinstance(m, int) or m <= 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
         raise ValueError("beth index must be a positive integer")
     if x.algebra != NSYM:
         raise ValueError("beth acts on NSym")

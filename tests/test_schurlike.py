@@ -146,6 +146,15 @@ def test_beth_rejects_bad_input():
         sl.beth(0, term("H", (1,)))
     with pytest.raises(ValueError):
         sl.beth(2, term("M", (1,)))
+    # True would index H[True, 2], a key no constructor accepts
+    with pytest.raises(ValueError):
+        sl.beth(True, term("H", (2,)))
+
+
+@pytest.mark.parametrize("r", [True, 1.0])
+def test_pieri_rejects_a_strip_size_that_is_not_an_int(r):
+    with pytest.raises(ValueError):
+        sl.pieri("sh", (1,), r)
 
 
 # --- Jacobi-Trudi -------------------------------------------------------------
@@ -462,7 +471,7 @@ def test_skew_matches_tableau_counts():
                         shape, fam, gamma), (fam, outer, inner, gamma)
 
 
-def test_skew_outside_containment_warns_zero():
+def test_skew_outside_containment_is_zero():
     assert sl.skew("sh", (2, 1), (1, 2)).is_zero()
 
 
@@ -849,6 +858,28 @@ def test_involution_suite_reports_a_wrong_closed_form(monkeypatch):
     assert "psi(M[2]) differs from the carrier route" in failures
     # M[1, 1] has no sign to lose, and NSym keeps its closed form
     assert not any("(M[1, 1])" in f or "(H[" in f or "(E[" in f for f in failures)
+
+
+def test_involution_suite_sweeps_every_product_pair_the_same_way(monkeypatch):
+    from qnsym import verify
+
+    def sweep():
+        seen = []
+
+        def recording(x, y):
+            seen.append((str(x), str(y)))
+            return multiply(x, y)
+
+        monkeypatch.setattr(verify, "multiply", recording)
+        report = verify.verify("involutions", max_degree=4)
+        return (report.cases, report.failures), seen
+
+    first, seen = sweep()
+    assert sweep() == (first, seen)
+    for left, right in (("H", "R"), ("M", "F")):
+        want = {(str(term(left, a)), str(term(right, b)))
+                for a in comps_upto(3) for b in comps_upto(4 - sum(a)) if a and b}
+        assert len(want) == 1 + 4 + 12 and want <= set(seen), (left, right)
 
 
 # --- the involutions as reindexings on the bases they define ------------------
