@@ -59,6 +59,13 @@ def parse_composition(text: str, allow_empty: bool = True) -> tuple:
 _TERM_RE = re.compile(r"\s*(?:([+-])\s*)?([0-9]+)?\s*([A-Za-z]+\*?)\s*\[([^\]]*)\]")
 
 
+def algebra_of(token: str) -> str:
+    try:
+        return core.algebra_of(token)
+    except (KeyError, ValueError):
+        raise CLIError(2, f"unknown basis token {token!r}") from None
+
+
 def parse_element(text: str) -> Element:
     pos, first = 0, True
     algebra = None
@@ -73,10 +80,7 @@ def parse_element(text: str) -> Element:
         if sign is None and not first:
             raise CLIError(2, f"malformed element {text!r}: terms must be "
                               "joined by + or -")
-        try:
-            alg = core.algebra_of(token)
-        except (KeyError, ValueError):
-            raise CLIError(2, f"unknown basis token {token!r}") from None
+        alg = algebra_of(token)
         if algebra is None:
             algebra = alg
         elif alg != algebra:
@@ -115,10 +119,7 @@ def target_basis(args, x: Element, default=None):
     token = getattr(args, "basis", None)
     if token is None:
         return default
-    try:
-        alg = core.algebra_of(token)
-    except (KeyError, ValueError):
-        raise CLIError(2, f"unknown basis token {token!r}") from None
+    alg = algebra_of(token)
     if alg != x.algebra:
         raise CLIError(2, f"cannot express a {x.algebra} element in basis "
                           f"{token!r} ({alg})")
@@ -127,15 +128,9 @@ def target_basis(args, x: Element, default=None):
 
 # --- command handlers -----------------------------------------------------
 
-def cmd_expand(args):
+def cmd_convert(args):  # expand and convert, where --basis is required
     x = parse_element(args.element)
-    basis = target_basis(args, x, default=core.CANONICAL[x.algebra])
-    emit_element(args, x.convert(basis))
-
-
-def cmd_convert(args):
-    x = parse_element(args.element)
-    emit_element(args, x.convert(target_basis(args, x)))
+    emit_element(args, x.convert(target_basis(args, x, default=core.CANONICAL[x.algebra])))
 
 
 def cmd_multiply(args):
@@ -188,16 +183,10 @@ def cmd_ribbon_mult(args):
     emit_element(args, sl.ribbon_multiply(args.family, alpha, beta))
 
 
-def cmd_skew(args):
+def cmd_skew(args):  # skew and skew2, told apart by args.peel
     outer = parse_composition(args.outer)
     inner = parse_composition(args.inner)
-    emit_element(args, sl.skew(args.family, outer, inner))
-
-
-def cmd_skew2(args):
-    outer = parse_composition(args.outer)
-    inner = parse_composition(args.inner)
-    emit_element(args, sl.skew_ii(args.family, outer, inner))
+    emit_element(args, args.peel(args.family, outer, inner))
 
 
 def cmd_coproduct(args):
@@ -209,14 +198,13 @@ def cmd_struct_coeffs(args):
     beta = parse_composition(args.beta)
     gamma = parse_composition(args.gamma)
     coeffs = sl.structure_coeffs(args.family, beta, gamma)
-    tok = sl.NSYM_TOKEN[sl.family_name(args.family)]
     if args.json:
         print(json.dumps([
             {"alpha": list(c.alpha), "beta": list(c.beta),
              "gamma": list(c.gamma), "value": str(c.value)} for c in coeffs]))
     else:
         for c in coeffs:
-            print(f"{tok}{fmt_comp(c.alpha)}: {c.value}")
+            print(f"{args.family}{fmt_comp(c.alpha)}: {c.value}")
 
 
 def cmd_chi(args):
@@ -291,12 +279,7 @@ def cmd_poset_chains(args):
 
 
 def cmd_transition_matrix(args):
-    for token in (args.source, args.target):
-        try:
-            core.algebra_of(token)
-        except (KeyError, ValueError):
-            raise CLIError(2, f"unknown basis token {token!r}") from None
-    if core.algebra_of(args.source) != core.algebra_of(args.target):
+    if algebra_of(args.source) != algebra_of(args.target):
         raise CLIError(2, "source and target bases live in different algebras")
     matrix = core.transition_matrix(args.source, args.target, args.degree)
     if args.json:
@@ -352,13 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in QSym and NSym with the four "
                     "Schur-like dual basis pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    families = tuple(sl.FAMILY_OF_TOKEN)
 
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(func=handler)
         return p
 
-    p = add("expand", cmd_expand, help="expand an element in a basis")
+    p = add("expand", cmd_convert, help="expand an element in a basis")
     p.add_argument("--basis", help="target basis (default: H or M)")
     p.add_argument("element")
 
@@ -385,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis")
 
     p = add("pieri", cmd_pieri, help="multiply a family basis element by H_r or E_r")
-    p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("alpha")
     p.add_argument("r", type=integer)
 
@@ -395,23 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("jacobi-trudi", cmd_jacobi_trudi,
             help="signed H/E-word expansion for a monotone index")
-    p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("beta")
 
     p = add("ribbon-mult", cmd_ribbon_mult,
             help="multiply a family basis element by a ribbon")
-    p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("alpha")
     p.add_argument("beta")
 
     p = add("skew", cmd_skew, help="skew function of a family: the perp of its dual pair")
-    p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
+    p.set_defaults(peel=sl.skew)
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("outer")
     p.add_argument("inner")
 
-    p = add("skew2", cmd_skew2,
+    p = add("skew2", cmd_skew,
             help="skew-II function of a family: the right-perp of its dual pair")
-    p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
+    p.set_defaults(peel=sl.skew_ii)
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("outer")
     p.add_argument("inner")
 
@@ -420,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("struct-coeffs", cmd_struct_coeffs,
             help="expansion coefficients of a product of two family elements")
-    p.add_argument("--family", required=True, choices=("sh", "rsh", "fsh", "bsh"))
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("beta")
     p.add_argument("gamma")
 
@@ -435,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tableaux", cmd_tableaux, help="enumerate or count family tableaux")
     p.add_argument("mode", choices=("enumerate", "count"))
     p.add_argument("--family", required=True,
-                   choices=("shin", "row_strict", "flipped", "backward",
-                            "sh", "rsh", "fsh", "bsh"))
+                   choices=tab.FAMILIES + families)
     p.add_argument("shape")
     p.add_argument("--inner", help="inner shape for a skew diagram")
     p.add_argument("--bottom", action="store_true",

@@ -13,19 +13,19 @@ extensions of a by r boxes).  The same rule gives K^-1 with no solve: sh_a
 is sh_prefix H_last minus sh over the prefix's other strip extensions
 (Pieri elimination); kept on partitions, the chains and the elimination
 give the Kostka matrix and its inverse.  The other pairs are registered as
-its images psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a), rho(rsh_a) =
-bsh_rev(a) (starred alike; `verify` checks omega(sh_a) = bsh_rev(a)),
-which is all the registry needs to derive their maps; their own tableau
-counts are the oracle of `verify tableaux`.  On top of the bases live the
-Pieri rules, the beth creation operators, Jacobi-Trudi expansions (the
-creation operators folded over the index), ribbon multiplication, skew and
-skew-II functions, structure coefficients, coproduct formulas, and the
-bridge to symmetric functions.  The Pieri, Jacobi-Trudi and ribbon routes
-work for sh and reach the other families by `core.involution` alone; a
-ribbon product runs the Pieri rule word by word, so no tableau is
-enumerated here.  Skew and skew-II functions are the perp and right-perp
-operators of any family, and the coproduct formulas, assembled from them,
-hold for all four dual pairs.
+its images under INVOLUTION: psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a),
+omega(sh_a) = bsh_rev(a), starred alike, which is all the registry needs to
+derive their maps; their own tableau counts are the oracle of `verify
+tableaux`.  On top of the bases live the Pieri rules, the beth creation
+operators, Jacobi-Trudi expansions (the creation operators folded over the
+index), ribbon multiplication, skew and skew-II functions, structure
+coefficients, coproduct formulas, and the bridge to symmetric functions.
+The Pieri, Jacobi-Trudi and ribbon routes work for sh and reach the other
+families by `core.involution` under INVOLUTION alone; a ribbon product
+runs the Pieri rule word by word, so no tableau is enumerated here.  Skew
+and skew-II functions are the perp and right-perp operators of any family,
+and the coproduct formulas, assembled from them, hold for all four dual
+pairs.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ NSYM_TOKEN = {"shin": "sh", "row_strict": "rsh", "flipped": "fsh", "backward": "
 QSYM_TOKEN = {fam: tok + "*" for fam, tok in NSYM_TOKEN.items()}
 FAMILY_OF_TOKEN = {tok: fam for fam, tok in NSYM_TOKEN.items()}
 
-# the side and generator of each family's Pieri rule
-PIERI_SIDE = {"shin": "right", "row_strict": "right", "flipped": "left", "backward": "left"}
-PIERI_GENERATOR = {"shin": "H", "row_strict": "E", "flipped": "H", "backward": "E"}
+# the involution whose image of the shin pair is each family's pair:
+# psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a), omega(sh_a) = bsh_rev(a), starred alike
+INVOLUTION = {"shin": None, "row_strict": "psi", "flipped": "rho", "backward": "omega"}
 
 
 def family_name(family: str) -> str:
@@ -58,15 +58,13 @@ def family_name(family: str) -> str:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _transport(family: str):
-    """`core.involution` by the involution that builds the family's basis X
-    from sh, read off X's Pieri rule (a left side means rho, the generator E
-    psi, both omega; shin needs none): X_a to sh_fix(a) and back, a reindex."""
-    left, e = PIERI_SIDE[family] == "left", PIERI_GENERATOR[family] == "E"
-    name = ("omega" if e else "rho") if left else ("psi" if e else None)
-    if name is None:
-        return lambda x, basis=None: x.convert(basis) if basis else x
-    return partial(core.involution, name)
+def _at_sh(family: str, index) -> tuple:
+    """(carry, base): `core.involution` by the family's involution (the
+    identity for shin), which takes X_index to sh_base and back, a reindex."""
+    name = INVOLUTION[family]
+    carry = partial(core.involution, name) if name else (lambda x: x)
+    (_, base), = carry(term(NSYM_TOKEN[family], index)).terms
+    return carry, base
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +95,8 @@ def _kappa_inverse(n: int) -> tuple:
 def register_bases() -> None:
     """Install the eight Schur-like bases into the conversion registry:
     sh and sh* read off the shin K (strip chains) and K^-1 (Pieri
-    elimination), the other six by their images (token, name, source) below,
-    from which the registry derives their maps and reindexes them.  rho only
+    elimination), the other six as their images under INVOLUTION, from
+    which the registry derives their maps and reindexes them.  rho only
     reverses indices of H and M, so only rsh and rsh* pay for psi; this order
     fixes the order terms print in."""
     if "sh" in core.bases():
@@ -111,10 +109,13 @@ def register_bases() -> None:
                         _line_reader(shin_kappa, comps.compositions, True))
     core.register_basis("sh*", QSYM, _line_reader(shin_kappa, comps.compositions, False),
                         _line_reader(_kappa_inverse, comps.compositions, False))
-    for token, name, source in (("rsh", "psi", "sh"), ("rsh*", "psi", "sh*"),
-                                ("fsh", "rho", "sh"), ("fsh*", "rho", "sh*"),
-                                ("bsh", "rho", "rsh"), ("bsh*", "rho", "rsh*")):
-        core.register_basis(token, core.algebra_of(source), image=(name, source))
+    for family, name in INVOLUTION.items():
+        if name is None:
+            continue
+        for tokens in (NSYM_TOKEN, QSYM_TOKEN):
+            # omega = rho psi: as omega(sh), bsh would pay for psi again, as rsh does
+            image = ("rho", tokens["row_strict"]) if name == "omega" else (name, tokens["shin"])
+            core.register_basis(tokens[family], core.algebra_of(image[1]), image=image)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +130,7 @@ def pieri(family: str, alpha, r: int) -> Element:
         raise ValueError("strip size must be an integer")
     if r < 0:
         raise ValueError("strip size must be nonnegative")
-    carry = _transport(family)
-    (_, base), = carry(term(NSYM_TOKEN[family], alpha)).terms
+    carry, base = _at_sh(family, alpha)
     return carry(Element._of(NSYM, {("sh", beta): 1 for beta in tab.strip_extensions(base, r)}))
 
 
@@ -168,10 +168,9 @@ def jacobi_trudi(family: str, beta) -> Element:
     0 < m < a_1, from sh_(last part) = H_(last part)."""
     family = family_name(family)
     beta = comps.check_composition(beta)
-    carry = _transport(family)
-    (_, base), = carry(term(NSYM_TOKEN[family], beta)).terms
+    carry, base = _at_sh(family, beta)
     if any(a >= b for a, b in zip(base, base[1:])):
-        order = "decreasing" if PIERI_SIDE[family] == "left" else "increasing"
+        order = "decreasing" if INVOLUTION[family] in ("rho", "omega") else "increasing"
         raise ValueError(f"no determinant expansion for {beta}: the index must be strictly "
                          f"{order} (the (2,2,4) expansion cannot be written this way)")
     # the expansion has one word per restricted permutation, 2^(parts - 1)
@@ -236,9 +235,8 @@ def ribbon_multiply(family: str, alpha, beta) -> Element:
     family = family_name(family)
     alpha = comps.check_composition(alpha)
     beta = comps.check_composition(beta)
-    carry = _transport(family)
-    words = {word: c for (_, word), c in carry(term("R", beta), basis="H").terms.items()}
-    (_, base), = carry(term(NSYM_TOKEN[family], alpha)).terms
+    carry, base = _at_sh(family, alpha)
+    words = {word: c for (_, word), c in carry(term("R", beta)).convert("H").terms.items()}
     out = {}
     for word, counts in tab.strip_chains(base, words):
         for gamma, m in counts.items():
@@ -282,43 +280,27 @@ def structure_coeffs(family: str, beta, gamma) -> tuple:
     )
 
 
-def coproduct_formula_report(family: str, alpha, variant: str = "skew"):
+def coproduct_formula(family: str, alpha, variant: str = "skew") -> TensorElement:
     """Assemble the coproduct of the family's starred basis element from
     skew (variant "skew") or skew-II (variant "skew2") pieces, summing over
     *all* inner compositions: Delta f = sum_beta X*_beta (x) X_beta^perp f
-    holds for any dual pair (X, X*), and its mirror with the right perp.
-
-    Returns (tensor, violations) where violations lists the (beta, piece)
-    pairs that fall outside the nominal containment bound yet contribute.
-    """
+    holds for any dual pair (X, X*), and its mirror with the right perp."""
     family = family_name(family)
     if variant not in ("skew", "skew2"):
         raise ValueError(f"unknown variant {variant!r}")
     alpha = comps.check_composition(alpha)
     qtok = QSYM_TOKEN[family]
-    # skew-II is the rho-mirror of skew: peel from the back, compare the
-    # reversals, and put the piece on the left leg
+    # skew-II is the rho-mirror of skew: put the piece on the left leg
     mirrored = variant == "skew2"
     peel = skew_ii if mirrored else skew
-    fix = comps.reverse if mirrored else tuple
     terms = {}
-    violations = []
     for m in range(sum(alpha) + 1):
         for beta in comps.compositions(m):
-            piece = peel(family, alpha, beta)
-            if piece.is_zero():
-                continue
-            if not comps.dominated(fix(beta), fix(alpha)):
-                violations.append((beta, piece))
-            for (_, gamma), c in piece.terms.items():
+            for (_, gamma), c in peel(family, alpha, beta).terms.items():
                 legs = ((qtok, beta), ("M", gamma))
                 key = legs[::-1] if mirrored else legs
                 terms[key] = terms.get(key, 0) + c
-    return TensorElement._of(QSYM, terms), violations
-
-
-def coproduct_formula(family: str, alpha, variant: str = "skew") -> TensorElement:
-    return coproduct_formula_report(family, alpha, variant)[0]
+    return TensorElement._of(QSYM, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from a start shape (`strip_chains`), the chains give ribbon products.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from typing import NamedTuple
 
 from . import compositions as comps
@@ -456,8 +457,17 @@ def poset_covers(alpha) -> tuple:
 
 
 def maximal_chains(beta, alpha) -> tuple:
-    """All saturated chains beta = g0 < g1 < ... < gm = alpha, one box a step."""
+    """All saturated chains beta = g0 < g1 < ... < gm = alpha, one box a step,
+    refused past comps.MAX_REFINEMENTS.  Each chain is a standard filling of
+    alpha/beta, so there are at most m! of them; past the budget they are
+    counted first, as strip chains of 1-box steps kept inside alpha."""
     alpha, beta = tuple(alpha), tuple(beta)
+    m = sum(alpha) - sum(beta)
+    if m > 0 and factorial(min(m, 20)) > comps.MAX_REFINEMENTS:
+        (_, counts), = strip_chains(beta, [(1,) * m], lambda g: comps.dominated(g, alpha))
+        if counts.get(alpha, 0) > comps.MAX_REFINEMENTS:
+            raise ValueError(f"{list(beta)} -> {list(alpha)} has {counts[alpha]} maximal "
+                             f"chains, past the budget of {comps.MAX_REFINEMENTS}")
     chains = []
 
     def grow(chain):

@@ -322,10 +322,11 @@ def check_tableaux(max_degree):
                             f"but transport ({label}) gives {moved[i][j]}, degree {n}")
     # the ribbon rule: X_alpha * R_beta (R_beta * X_alpha on the left side)
     # sums X_gamma times the number of standard tableaux of gamma/alpha
-    # (bottom-aligned on the left side) whose descent composition is beta
+    # (bottom-aligned on the left side) whose descent composition is beta;
+    # the paper's Pieri rules put flipped and backward on the left
     top = min(max_degree, 5)
     for family in tab.FAMILIES:
-        shape_of = tab.skew2 if sl.PIERI_SIDE[family] == "left" else tab.skew
+        shape_of = tab.skew2 if family in ("flipped", "backward") else tab.skew
         for alpha in _comps_through(top):
             for beta in _comps_through(top - sum(alpha)):
                 want = {}

@@ -147,6 +147,18 @@ def test_poset_chains(capsys):
     assert capsys.readouterr().out == "[1] -> [1,1] -> [2,1]\n[1] -> [2] -> [2,1]\n"
 
 
+def test_poset_chains_past_the_budget_fail_fast_with_exit_1(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(["poset-chains", "", "5,5,5,5"]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: [] -> [5, 5, 5, 5] has 1662804 maximal chains, "
+                            "past the budget of 65536\n")
+
+
 def test_beth(capsys):
     assert cli.run(["beth", "2", "H[3,1]"]) == 0
     assert capsys.readouterr().out == "H[2,3,1] - H[3,2,1]\n"

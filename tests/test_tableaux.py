@@ -300,6 +300,41 @@ def test_chains_biject_with_standard_skew_tableaux():
                         assert tab.validate(t) and t.is_standard()
 
 
+def test_maximal_chains_count_as_strip_chains_of_one_box_steps(monkeypatch):
+    # the count that guards the listing, against the listing, for every pair
+    # through degree 6; then, with the budget lowered to 10, the listing is
+    # refused exactly where it would hold more than 10 chains
+    listed = {}
+    for n in range(7):
+        for alpha in comps.compositions(n):
+            for m in range(n + 1):
+                for beta in comps.compositions(m):
+                    chains = len(tab.maximal_chains(beta, alpha))
+                    (_, counts), = tab.strip_chains(
+                        beta, [(1,) * (n - m)], lambda g: comps.dominated(g, alpha))
+                    assert counts.get(alpha, 0) == chains, (beta, alpha)
+                    listed[beta, alpha] = chains
+    monkeypatch.setattr(comps, "MAX_REFINEMENTS", 10)
+    for (beta, alpha), chains in listed.items():
+        if chains > 10:
+            with pytest.raises(ValueError, match=f"has {chains} maximal chains"):
+                tab.maximal_chains(beta, alpha)
+        else:
+            assert len(tab.maximal_chains(beta, alpha)) == chains, (beta, alpha)
+
+
+def test_maximal_chains_refuse_past_the_budget_and_list_below_it():
+    import time
+
+    # 1662804 chains at (5,5,5,5): counted in milliseconds, never listed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="has 1662804 maximal chains, past the budget of 65536"):
+        tab.maximal_chains((), (5, 5, 5, 5))
+    assert time.perf_counter() - start < 2.0
+    # 16! is past the budget, so (4,4,4,4) is counted first, then listed
+    assert len(tab.maximal_chains((), (4, 4, 4, 4))) == 24024
+
+
 # --- the shin K matrix from strip chains, against the old routes ---------------
 
 def _strips_by_filtering(alpha, r):
