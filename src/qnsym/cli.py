@@ -337,9 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     families = tuple(sl.FAMILY_OF_TOKEN)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, family=False, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(func=handler)
+        if family:
+            p.add_argument("--family", required=True, choices=families)
         return p
 
     p = add("expand", cmd_convert, help="expand an element in a basis")
@@ -368,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     p.add_argument("--basis")
 
-    p = add("pieri", cmd_pieri, help="multiply a family basis element by H_r or E_r")
-    p.add_argument("--family", required=True, choices=families)
+    p = add("pieri", cmd_pieri, family=True, help="multiply a family basis element by H_r or E_r")
     p.add_argument("alpha")
     p.add_argument("r", type=integer)
 
@@ -377,36 +378,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=integer)
     p.add_argument("element")
 
-    p = add("jacobi-trudi", cmd_jacobi_trudi,
+    p = add("jacobi-trudi", cmd_jacobi_trudi, family=True,
             help="signed H/E-word expansion for a monotone index")
-    p.add_argument("--family", required=True, choices=families)
     p.add_argument("beta")
 
-    p = add("ribbon-mult", cmd_ribbon_mult,
+    p = add("ribbon-mult", cmd_ribbon_mult, family=True,
             help="multiply a family basis element by a ribbon")
-    p.add_argument("--family", required=True, choices=families)
     p.add_argument("alpha")
     p.add_argument("beta")
 
-    p = add("skew", cmd_skew, help="skew function of a family: the perp of its dual pair")
+    p = add("skew", cmd_skew, family=True,
+            help="skew function of a family: the perp of its dual pair")
     p.set_defaults(peel=sl.skew)
-    p.add_argument("--family", required=True, choices=families)
     p.add_argument("outer")
     p.add_argument("inner")
 
-    p = add("skew2", cmd_skew,
+    p = add("skew2", cmd_skew, family=True,
             help="skew-II function of a family: the right-perp of its dual pair")
     p.set_defaults(peel=sl.skew_ii)
-    p.add_argument("--family", required=True, choices=families)
     p.add_argument("outer")
     p.add_argument("inner")
 
     p = add("coproduct", cmd_coproduct, help="Hopf coproduct of an element")
     p.add_argument("element")
 
-    p = add("struct-coeffs", cmd_struct_coeffs,
+    p = add("struct-coeffs", cmd_struct_coeffs, family=True,
             help="expansion coefficients of a product of two family elements")
-    p.add_argument("--family", required=True, choices=families)
     p.add_argument("beta")
     p.add_argument("gamma")
 
@@ -459,12 +456,11 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         status = args.func(args)
-    except CLIError as exc:
+    except (CLIError, ValueError, ArithmeticError, RecursionError) as exc:
+        if isinstance(exc, RecursionError):
+            exc = CLIError(1, "the input is too deep, past the recursion limit")
         print(f"error: {exc}", file=sys.stderr)
-        return exc.status
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "status", 1)
     return 0 if status is None else status
 
 

@@ -29,8 +29,9 @@ def check_composition(alpha) -> tuple:
 MAX_DENSE_DEGREE = 12
 
 
-# Refinements and coarsenings of one composition (2**(n - len) and
-# 2**(len - 1) of them) are listed only up to this many: all of degree <= 17.
+# The budget of every listing or walk that can grow exponentially: refinements
+# and coarsenings of one composition (all of degree <= 17), Jacobi-Trudi words,
+# the live states of a ribbon product and the chains of `maximal_chains`.
 MAX_REFINEMENTS = 2 ** 16
 
 # One backtracking run over tableau fillings places at most this many

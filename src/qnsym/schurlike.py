@@ -22,7 +22,7 @@ index), ribbon multiplication, skew and skew-II functions, structure
 coefficients, coproduct formulas, and the bridge to symmetric functions.
 The Pieri, Jacobi-Trudi and ribbon routes work for sh and reach the other
 families by `core.involution` under INVOLUTION alone; a ribbon product
-runs the Pieri rule word by word, so no tableau is enumerated here.  Skew
+walks the ribbon part by part, so no tableau or H-word is listed here.  Skew
 and skew-II functions are the perp and right-perp operators of any family,
 and the coproduct formulas, assembled from them, hold for all four dual
 pairs.
@@ -229,19 +229,28 @@ def pieri_elimination(alpha) -> Element:
 
 def ribbon_multiply(family: str, alpha, beta) -> Element:
     """The product of the family basis element with R_beta on the family's
-    side: the involution's image of R_beta in H (a listing refused past
-    `comps.MAX_REFINEMENTS`), whose words the shin Pieri rule applies part
-    by part at the carried index, carried back."""
+    side: sh at the carried index times the carried R_gamma, carried back.
+    R_gamma is the signed sum of H over gamma's coarsenings, so the walk closes
+    each part's open strip by the Pieri rule or merges it into the next, sign flipped."""
     family = family_name(family)
     alpha = comps.check_composition(alpha)
     beta = comps.check_composition(beta)
     carry, base = _at_sh(family, alpha)
-    words = {word: c for (_, word), c in carry(term("R", beta)).convert("H").terms.items()}
-    out = {}
-    for word, counts in tab.strip_chains(base, words):
-        for gamma, m in counts.items():
-            out[gamma] = out.get(gamma, 0) + words[word] * m
-    return carry(Element._of(NSYM, {("sh", gamma): c for gamma, c in out.items()}))
+    (_, gamma), = carry(term("R", beta)).terms
+    states = {(base, 0): 1}
+    for i, part in enumerate(gamma):
+        walked = {}
+        for (mu, s), c in states.items():
+            s += part
+            if i < len(gamma) - 1:  # the last part must close
+                walked[mu, s] = walked.get((mu, s), 0) - c
+            for nu in tab.strip_extensions(mu, s):
+                walked[nu, 0] = walked.get((nu, 0), 0) + c
+        states = {k: c for k, c in walked.items() if c}
+        if len(states) > comps.MAX_REFINEMENTS:
+            raise ValueError(f"{NSYM_TOKEN[family]}{list(alpha)} R{list(beta)} needs more than "
+                             f"{comps.MAX_REFINEMENTS} live states, past the budget")
+    return carry(Element._of(NSYM, {("sh", mu): c for (mu, _), c in states.items()}))
 
 
 def skew(family: str, outer, inner) -> Element:

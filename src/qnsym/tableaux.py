@@ -24,14 +24,13 @@ reads a matrix off strip chains and enumerates no tableau: in a shin
 tableau the entries equal to v fill a strip over the entries below v, so
 K[alpha][beta] is the number of chains () = g0 < g1 < ... < gk = alpha whose
 i-th step is a strip of beta_i boxes.  It builds the shin matrix and, kept
-on partition shapes, the Kostka matrix (`schurlike.kostka_matrix`); walked
-from a start shape (`strip_chains`), the chains give ribbon products.
+on partition shapes, the Kostka matrix (`schurlike.kostka_matrix`); with
+one-box steps they are the saturated chains that `maximal_chains` lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
 from . import compositions as comps
@@ -458,31 +457,24 @@ def poset_covers(alpha) -> tuple:
 
 def maximal_chains(beta, alpha) -> tuple:
     """All saturated chains beta = g0 < g1 < ... < gm = alpha, one box a step,
-    refused past comps.MAX_REFINEMENTS.  Each chain is a standard filling of
-    alpha/beta, so there are at most m! of them; past the budget they are
-    counted first, as strip chains of 1-box steps kept inside alpha."""
+    in lexicographic order.  The covers inside alpha are found once per shape
+    and the chains from each shape counted, so more than comps.MAX_REFINEMENTS
+    are refused before any is listed; the rest are listed level by level."""
     alpha, beta = tuple(alpha), tuple(beta)
-    m = sum(alpha) - sum(beta)
-    if m > 0 and factorial(min(m, 20)) > comps.MAX_REFINEMENTS:
-        (_, counts), = strip_chains(beta, [(1,) * m], lambda g: comps.dominated(g, alpha))
-        if counts.get(alpha, 0) > comps.MAX_REFINEMENTS:
-            raise ValueError(f"{list(beta)} -> {list(alpha)} has {counts[alpha]} maximal "
-                             f"chains, past the budget of {comps.MAX_REFINEMENTS}")
-    chains = []
-
-    def grow(chain):
-        cur = chain[-1]
-        if cur == alpha:
-            chains.append(tuple(chain))
-            return
-        for nxt in poset_covers(cur):
-            if comps.dominated(nxt, alpha):
-                chain.append(nxt)
-                grow(chain)
-                chain.pop()
-
-    if comps.dominated(beta, alpha):
-        grow([beta])
+    covers, level = {}, [beta]
+    while level:  # one box larger at each pass, so covers is in size order
+        for g in level:
+            covers[g] = [h for h in poset_covers(g) if comps.dominated(h, alpha)]
+        level = list(dict.fromkeys(h for g in level for h in covers[g]))
+    count = {}
+    for g in reversed(covers):
+        count[g] = 1 if g == alpha else sum(count[h] for h in covers[g])
+    if count[beta] > comps.MAX_REFINEMENTS:
+        raise ValueError(f"{list(beta)} -> {list(alpha)} has {count[beta]} maximal "
+                         f"chains, past the budget of {comps.MAX_REFINEMENTS}")
+    chains = [(beta,)] if count[beta] else []
+    for _ in range(sum(alpha) - sum(beta)):
+        chains = [chain + (h,) for chain in chains for h in covers[chain[-1]] if count[h]]
     return tuple(chains)
 
 

@@ -358,16 +358,40 @@ def test_jacobi_trudi_past_the_listing_budget_fails_fast_with_exit_1(capsys):
 def test_ribbon_past_the_coarsening_budget_fails_fast_with_exit_1(capsys, family):
     import time
 
-    # rsh and bsh list psi(R_beta) = R_beta^c and omega(R_beta) = R_beta^t in H,
-    # so for them (19), whose complement and transpose are 1^19, is past the budget
+    # 1^19 and (19) have 2^18 coarsenings, past the listing budget, and
+    # psi(R_beta) = R_beta^c, omega(R_beta) = R_beta^t; the strip walk lists
+    # no coarsening and answers at once
     beta = "19" if family in ("rsh", "bsh") else ",".join(["1"] * 19)
     start = time.perf_counter()
-    assert cli.run(["ribbon-mult", "--family", family, "1", beta]) == 1
+    assert cli.run(["ribbon-mult", "--family", family, "1", beta]) == 0
     assert time.perf_counter() - start < 2.0
     captured = capsys.readouterr()
+    tall = "1," * 18 + "2" if family in ("fsh", "bsh") else "2" + ",1" * 18
+    assert captured.out == f"{family}[{'1,' * 19}1] + {family}[{tall}]\n"
+    assert captured.err == ""
+
+
+ONE_DEEP_COLUMN = ",".join(["1"] * 1200)
+
+
+@pytest.mark.parametrize("argv", [
+    ["strips", ONE_DEEP_COLUMN, "1"],
+    ["pieri", "--family", "sh", ONE_DEEP_COLUMN, "1"],
+    ["ribbon-mult", "--family", "sh", ONE_DEEP_COLUMN, "1"],
+    ["tableaux", "count", "--family", "shin", "1200", "--type", "1200"],
+], ids=["strips", "pieri", "ribbon-mult", "tableaux"])
+def test_too_deep_an_input_is_one_error_line_with_exit_1(capsys, argv):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "has 2^18 coarsenings, past the budget of 65536" in captured.err
+    assert captured.err == "error: the input is too deep, past the recursion limit\n"
+
+
+def test_poset_chains_of_a_long_row_list_its_one_chain(capsys):
+    assert cli.run(["poset-chains", "", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == " -> ".join(["[]"] + [f"[{k}]" for k in range(1, 1001)]) + "\n"
+    assert captured.err == ""
 
 
 def test_ribbon_at_degree_20_answers_in_seconds(capsys):

@@ -422,12 +422,47 @@ def test_ribbon_multiply_enumerates_no_tableau(monkeypatch):
 
 
 def test_ribbon_multiply_refuses_past_the_coarsening_budget():
-    # sh and fsh list R_beta in H, rsh and bsh its image R_beta^c or R_beta^t:
-    # 1^19 and (19), the complement and transpose of each other, have 2^18
+    """1^19 and (19), the complement and transpose of each other, have 2^18
+    coarsenings, past the listing budget; the strip walk lists none of them
+    and answers with two terms."""
+    ones = (1,) * 19
     for fam in FAMILY_TOKENS:
-        beta = (19,) if fam in ("rsh", "bsh") else (1,) * 19
-        with pytest.raises(ValueError, match="has 2\\^18 coarsenings, past the budget"):
-            sl.ribbon_multiply(fam, (1,), beta)
+        beta = (19,) if fam in ("rsh", "bsh") else ones
+        # compared term by term: degree 20 is past the dense budget of ==
+        got = dict(sl.ribbon_multiply(fam, (1,), beta).terms)
+        tall = (1,) * 18 + (2,) if fam in ("fsh", "bsh") else (2,) + (1,) * 18
+        assert got == {(fam, (1,) * 20): 1, (fam, tall): 1}, fam
+
+
+def _ribbon_by_listing(family, alpha, beta):
+    """The listing body the strip walk replaced: the carried R_beta in H,
+    whose words the shin strip chains apply part by part at the carried
+    index."""
+    carry, base = sl._at_sh(sl.family_name(family), alpha)
+    words = {word: c for (_, word), c in carry(term("R", beta)).convert("H").terms.items()}
+    out = {}
+    for word, counts in tab.strip_chains(base, words):
+        for gamma, m in counts.items():
+            out[gamma] = out.get(gamma, 0) + words[word] * m
+    return carry(core.Element(core.NSYM, {("sh", gamma): c for gamma, c in out.items()}))
+
+
+def test_ribbon_multiply_matches_the_listing_body():
+    cases = 0
+    for fam in FAMILY_TOKENS:
+        for a in comps_upto(4):
+            for b in comps_upto(8 - sum(a)):
+                got, want = sl.ribbon_multiply(fam, a, b), _ribbon_by_listing(fam, a, b)
+                assert str(got) == str(want), (fam, a, b)
+                cases += 1
+    assert cases == 3072
+
+
+def test_ribbon_multiply_refuses_past_the_live_state_budget(monkeypatch):
+    monkeypatch.setattr(comps, "MAX_REFINEMENTS", 4)
+    with pytest.raises(ValueError, match=r"sh\[2, 1\] R\[1, 2, 1\] needs more than 4 "
+                                         r"live states, past the budget"):
+        sl.ribbon_multiply("sh", (2, 1), (1, 2, 1))
 
 
 def test_ribbon_multiply_by_r_of_ones_is_the_e_pieri_rule():

@@ -323,6 +323,38 @@ def test_maximal_chains_count_as_strip_chains_of_one_box_steps(monkeypatch):
             assert len(tab.maximal_chains(beta, alpha)) == chains, (beta, alpha)
 
 
+def _chains_depth_first(beta, alpha):
+    """The listing the level-by-level one replaced: a depth-first search
+    over the covers inside alpha, which strips again at every node."""
+    chains = []
+
+    def grow(chain):
+        if chain[-1] == alpha:
+            chains.append(tuple(chain))
+            return
+        for nxt in tab.poset_covers(chain[-1]):
+            if comps.dominated(nxt, alpha):
+                chain.append(nxt)
+                grow(chain)
+                chain.pop()
+
+    if comps.dominated(beta, alpha):
+        grow([beta])
+    return tuple(chains)
+
+
+def test_maximal_chains_match_the_depth_first_listing():
+    # every pair through degree 7, chains compared in order
+    pairs = 0
+    for n in range(8):
+        for alpha in comps.compositions(n):
+            for m in range(n + 1):
+                for beta in comps.compositions(m):
+                    assert tab.maximal_chains(beta, alpha) == _chains_depth_first(beta, alpha)
+                    pairs += 1
+    assert pairs == 10923
+
+
 def test_maximal_chains_refuse_past_the_budget_and_list_below_it():
     import time
 
@@ -331,8 +363,10 @@ def test_maximal_chains_refuse_past_the_budget_and_list_below_it():
     with pytest.raises(ValueError, match="has 1662804 maximal chains, past the budget of 65536"):
         tab.maximal_chains((), (5, 5, 5, 5))
     assert time.perf_counter() - start < 2.0
-    # 16! is past the budget, so (4,4,4,4) is counted first, then listed
+    # counted, then listed along shapes that reach (4,4,4,4), each cover found once
+    start = time.perf_counter()
     assert len(tab.maximal_chains((), (4, 4, 4, 4))) == 24024
+    assert time.perf_counter() - start < 2.0
 
 
 # --- the shin K matrix from strip chains, against the old routes ---------------
