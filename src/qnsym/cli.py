@@ -4,13 +4,17 @@ Element literals follow the output format: an optional integer coefficient,
 a basis token, and a bracketed composition, joined by + and - ("sh[3,2]",
 "2 H[1,2] - M[]").  Compositions may be written "[1,3,4]" or bare "1,3,4".
 Exit status 0 means success, 1 a domain error, 2 a usage error (unknown
-basis, malformed composition, cross-algebra request, unknown identity).
+basis, malformed composition, cross-algebra request, unknown identity), and
+141 (128 + SIGPIPE, as a shell reports a command that a closed pipe ends)
+that standard output closed before the output was written, as it does under
+`| head`; that case prints nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -106,6 +110,14 @@ def emit(args, text_value, json_value):
         print(text_value)
 
 
+def emit_lines(args, lines, json_value):  # json_value() is built only for --json
+    if args.json:
+        print(json.dumps(json_value()))
+    else:
+        for line in lines:
+            print(line)
+
+
 def emit_element(args, x):
     emit(args, str(x), x.to_json_dict())
 
@@ -198,13 +210,9 @@ def cmd_struct_coeffs(args):
     beta = parse_composition(args.beta)
     gamma = parse_composition(args.gamma)
     coeffs = sl.structure_coeffs(args.family, beta, gamma)
-    if args.json:
-        print(json.dumps([
-            {"alpha": list(c.alpha), "beta": list(c.beta),
-             "gamma": list(c.gamma), "value": str(c.value)} for c in coeffs]))
-    else:
-        for c in coeffs:
-            print(f"{args.family}{fmt_comp(c.alpha)}: {c.value}")
+    emit_lines(args, (f"{args.family}{fmt_comp(c.alpha)}: {c.value}" for c in coeffs),
+               lambda: [{"alpha": list(c.alpha), "beta": list(c.beta), "gamma": list(c.gamma),
+                         "value": str(c.value)} for c in coeffs])
 
 
 def cmd_chi(args):
@@ -250,47 +258,33 @@ def cmd_tableaux(args):
         emit(args, str(count), {"count": count})
         return
     found = tab.enumerate_tableaux(shape, family, type_vec)
-    if args.json:
-        print(json.dumps([t.to_json_dict() for t in found]))
-    else:
-        for t in found:
-            print(",".join(fmt_comp(row) for row in t.rows))
+    emit_lines(args, (",".join(map(fmt_comp, t.rows)) for t in found),
+               lambda: [t.to_json_dict() for t in found])
 
 
 def cmd_strips(args):
     alpha = parse_composition(args.alpha)
     betas = tab.strip_extensions(alpha, args.r)
-    if args.json:
-        print(json.dumps([list(b) for b in betas]))
-    else:
-        for b in betas:
-            print(fmt_comp(b))
+    emit_lines(args, map(fmt_comp, betas), lambda: [list(b) for b in betas])
 
 
 def cmd_poset_chains(args):
     beta = parse_composition(args.beta)
     alpha = parse_composition(args.alpha)
     chains = tab.maximal_chains(beta, alpha)
-    if args.json:
-        print(json.dumps([[list(c) for c in chain] for chain in chains]))
-    else:
-        for chain in chains:
-            print(" -> ".join(fmt_comp(c) for c in chain))
+    emit_lines(args, (" -> ".join(map(fmt_comp, chain)) for chain in chains),
+               lambda: [[list(c) for c in chain] for chain in chains])
 
 
 def cmd_transition_matrix(args):
     if algebra_of(args.source) != algebra_of(args.target):
         raise CLIError(2, "source and target bases live in different algebras")
     matrix = core.transition_matrix(args.source, args.target, args.degree)
-    if args.json:
-        print(json.dumps({
-            "source": matrix.source, "target": matrix.target,
-            "degree": matrix.degree,
-            "indices": [list(c) for c in matrix.indices],
-            "rows": [[str(v) for v in row] for row in matrix.rows]}))
-    else:
-        for comp, row in zip(matrix.indices, matrix.rows):
-            print(f"{fmt_comp(comp)} | " + " ".join(str(v) for v in row))
+    emit_lines(args, (f"{fmt_comp(comp)} | " + " ".join(map(str, row))
+                      for comp, row in zip(matrix.indices, matrix.rows)),
+               lambda: {"source": matrix.source, "target": matrix.target,
+                        "degree": matrix.degree, "indices": [list(c) for c in matrix.indices],
+                        "rows": [[str(v) for v in row] for row in matrix.rows]})
 
 
 def cmd_verify(args):
@@ -337,83 +331,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     families = tuple(sl.FAMILY_OF_TOKEN)
 
-    def add(name, handler, family=False, **kwargs):
+    def add(name, handler, *positionals, family=False, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(func=handler)
         if family:
             p.add_argument("--family", required=True, choices=families)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = add("expand", cmd_convert, help="expand an element in a basis")
+    p = add("expand", cmd_convert, "element", help="expand an element in a basis")
     p.add_argument("--basis", help="target basis (default: H or M)")
-    p.add_argument("element")
-
     p = add("convert", cmd_convert, help="rewrite an element in another basis")
     p.add_argument("--basis", required=True)
     p.add_argument("element")
-
-    p = add("multiply", cmd_multiply, help="product of two elements")
+    p = add("multiply", cmd_multiply, "left", "right", help="product of two elements")
     p.add_argument("--basis")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("pair", cmd_pair, help="duality pairing of an NSym and a QSym element")
-    p.add_argument("left")
-    p.add_argument("right")
+    add("pair", cmd_pair, "left", "right", help="duality pairing of an NSym and a QSym element")
 
     p = add("involute", cmd_involute, help="apply psi, rho, or omega")
     p.add_argument("name", choices=("psi", "rho", "omega"))
     p.add_argument("element")
     p.add_argument("--basis")
-
-    p = add("antipode", cmd_antipode, help="apply the Hopf antipode")
-    p.add_argument("element")
+    p = add("antipode", cmd_antipode, "element", help="apply the Hopf antipode")
     p.add_argument("--basis")
 
-    p = add("pieri", cmd_pieri, family=True, help="multiply a family basis element by H_r or E_r")
-    p.add_argument("alpha")
+    p = add("pieri", cmd_pieri, "alpha", family=True,
+            help="multiply a family basis element by H_r or E_r")
     p.add_argument("r", type=integer)
-
     p = add("beth", cmd_beth, help="apply the creation operator to an NSym element")
     p.add_argument("m", type=integer)
     p.add_argument("element")
-
-    p = add("jacobi-trudi", cmd_jacobi_trudi, family=True,
-            help="signed H/E-word expansion for a monotone index")
-    p.add_argument("beta")
-
-    p = add("ribbon-mult", cmd_ribbon_mult, family=True,
-            help="multiply a family basis element by a ribbon")
-    p.add_argument("alpha")
-    p.add_argument("beta")
-
-    p = add("skew", cmd_skew, family=True,
+    add("jacobi-trudi", cmd_jacobi_trudi, "beta", family=True,
+        help="signed H/E-word expansion for a monotone index")
+    add("ribbon-mult", cmd_ribbon_mult, "alpha", "beta", family=True,
+        help="multiply a family basis element by a ribbon")
+    p = add("skew", cmd_skew, "outer", "inner", family=True,
             help="skew function of a family: the perp of its dual pair")
     p.set_defaults(peel=sl.skew)
-    p.add_argument("outer")
-    p.add_argument("inner")
-
-    p = add("skew2", cmd_skew, family=True,
+    p = add("skew2", cmd_skew, "outer", "inner", family=True,
             help="skew-II function of a family: the right-perp of its dual pair")
     p.set_defaults(peel=sl.skew_ii)
-    p.add_argument("outer")
-    p.add_argument("inner")
+    add("coproduct", cmd_coproduct, "element", help="Hopf coproduct of an element")
+    add("struct-coeffs", cmd_struct_coeffs, "beta", "gamma", family=True,
+        help="expansion coefficients of a product of two family elements")
 
-    p = add("coproduct", cmd_coproduct, help="Hopf coproduct of an element")
-    p.add_argument("element")
-
-    p = add("struct-coeffs", cmd_struct_coeffs, family=True,
-            help="expansion coefficients of a product of two family elements")
-    p.add_argument("beta")
-    p.add_argument("gamma")
-
-    p = add("chi", cmd_chi, help="project an NSym element onto Sym")
-    p.add_argument("element")
+    p = add("chi", cmd_chi, "element", help="project an NSym element onto Sym")
     p.add_argument("--basis", help="m, h, or s (default: h)")
-
-    p = add("schur-detect", cmd_schur_detect,
-            help="Schur expansion of a symmetric QSym element, if symmetric")
-    p.add_argument("element")
+    add("schur-detect", cmd_schur_detect, "element",
+        help="Schur expansion of a symmetric QSym element, if symmetric")
 
     p = add("tableaux", cmd_tableaux, help="enumerate or count family tableaux")
     p.add_argument("mode", choices=("enumerate", "count"))
@@ -425,22 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="align the inner shape with the bottom rows (skew-II)")
     p.add_argument("--type", help="type (weight) composition")
     p.add_argument("--standard", action="store_true")
-
-    p = add("strips", cmd_strips, help="strip extensions of a composition")
-    p.add_argument("alpha")
+    p = add("strips", cmd_strips, "alpha", help="strip extensions of a composition")
     p.add_argument("r", type=integer)
+    add("poset-chains", cmd_poset_chains, "beta", "alpha",
+        help="maximal chains between compositions in the strip poset")
 
-    p = add("poset-chains", cmd_poset_chains,
-            help="maximal chains between compositions in the strip poset")
-    p.add_argument("beta")
-    p.add_argument("alpha")
-
-    p = add("transition-matrix", cmd_transition_matrix,
+    p = add("transition-matrix", cmd_transition_matrix, "source", "target",
             help="exact change-of-basis matrix at a degree")
-    p.add_argument("source")
-    p.add_argument("target")
     p.add_argument("degree", type=integer)
-
     p = add("verify", cmd_verify, help="run identity suites")
     p.add_argument("--identity", help="comma-separated names (default: all)")
     p.add_argument("--max-degree", type=integer)
@@ -465,7 +423,13 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
-    return run()
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: no traceback, and no flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

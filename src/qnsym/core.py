@@ -19,10 +19,14 @@ the antipode is (-1)^degree omega.  On the ribbon basis R and the
 fundamental basis F each involution is a pure reindex: psi complements the
 index, rho reverses it and omega transposes it.  A basis registered as the
 image of another (E = psi(H), and the Schur-like bases transported from
-shin, whose maps are derived from the image) is reached from it by
-reindexing alone.  So an involution of an element of R, F or a registered
-image into its partner basis, and the antipode, skip the canonical round
-trip; mixed supports and the other bases take it.
+shin) is reached from it by reindexing alone.  So an involution of an
+element of R, F or a registered image into its partner basis, and the
+antipode, skip the canonical round trip; mixed supports and the other bases
+take it.  A basis registered by its image alone reads its maps off the rows
+of `transition_matrix`, the one dense builder, which carries the source's
+matrices a whole degree at a time by the involution's matrix on the
+canonical basis: rho reverses indices, and psi is a sign diagonal times the
+zeta matrix of the Boolean lattice of descent sets.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -33,7 +37,9 @@ leg of the oracles in `verify` and the tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from array import array
+from bisect import bisect_left
+from functools import lru_cache, partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -52,6 +58,36 @@ class _BasisInfo(NamedTuple):
     algebra: str
     expand: Callable  # comp -> {comp: int}, image of basis element in canonical
     unexpand: Callable  # comp -> {comp: int}, canonical element in this basis
+    image: tuple = None  # (name, source) when the maps are derived from the image
+
+
+class MatrixLines(NamedTuple):
+    """A map read off whole-degree matrices: line `key` is row `key` of
+    matrix(n), or its column if `column`, over the sorted index list
+    indices(n), n = |key|, zeros dropped."""
+    matrix: Callable
+    indices: Callable
+    column: bool
+
+    def __call__(self, key) -> dict:
+        n = sum(key)
+        rows, ordered = self.matrix(n), self.indices(n)
+        k = bisect_left(ordered, tuple(key))
+        line = (row[k] for row in rows) if self.column else rows[k]
+        return {c: v for c, v in zip(ordered, line) if v}
+
+    def lines(self, n: int, across: bool = False) -> tuple:
+        """Every line of degree n as a dense row (`across`: the other way)."""
+        rows = self.matrix(n)
+        return tuple(zip(*rows)) if self.column != across else rows
+
+    def apply(self, coeffs: dict) -> dict:
+        """The combination {key: coeff} mapped line by line, zeros dropped."""
+        out = {}
+        for key, c in coeffs.items():
+            for k, v in self(key).items():
+                out[k] = out.get(k, 0) + c * v
+        return {k: c for k, c in out.items() if c}
 
 
 _REGISTRY: dict = {}
@@ -110,16 +146,21 @@ def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=N
     in and out of the canonical basis.  `image=(name, source)` states that
     token_a = name(source_fix(a)) (fix reverses a for rho and omega): the
     involutions reindex between the two bases, and, given without maps, it
-    derives them.  A basis with neither is refused."""
-    if algebra not in (NSYM, QSYM):
-        raise ValueError(f"unknown algebra {algebra!r}")
+    derives them: `transition_matrix`, the one dense builder, carries the
+    source's matrices by the involution a whole degree at a time (rho a
+    reversal, psi a signed zeta transform over descent sets), and the maps
+    read their rows.  A basis with neither is refused."""
+    _check_algebra(algebra)
     if token in _REGISTRY:
         raise ValueError(f"basis {token!r} already registered")
-    if expand is None and unexpand is None and image is not None:
-        expand, unexpand = _transported(*image)
+    derived = image if expand is None and unexpand is None else None
+    if derived:
+        canonical = CANONICAL[algebra]
+        expand = MatrixLines(partial(_rows, token, canonical), comps.compositions, False)
+        unexpand = MatrixLines(partial(_rows, canonical, token), comps.compositions, False)
     if expand is None or unexpand is None:
         raise ValueError(f"basis {token!r} needs both expansion maps or an image")
-    _REGISTRY[token] = _BasisInfo(algebra, expand, unexpand)
+    _REGISTRY[token] = _BasisInfo(algebra, expand, unexpand, derived)
     if token not in _TOKEN_ORDER:
         _TOKEN_ORDER.append(token)
     if image is not None:
@@ -128,23 +169,6 @@ def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=N
         _close_partners()
     _expand.cache_clear()
     _unexpand.cache_clear()
-
-
-def _transported(name: str, source: str):
-    """Expand/unexpand maps of X = name(source): X_a = name(source[fix(a)]),
-    fix reversing a for rho and omega.  Both take the canonical route of the
-    involution: its reindex into X is what the registration defines."""
-    canonical = CANONICAL[algebra_of(source)]
-    fix = _FIX[name]
-
-    def expand(comp):
-        return _involute(term(source, fix(comp)), name, False, canonical).canonical_dict()
-
-    def unexpand(comp):
-        image = _involute(term(canonical, comp), name, False, source)
-        return {fix(c): v for (_, c), v in image.terms.items()}
-
-    return expand, unexpand
 
 
 def bases(algebra=None) -> tuple:
@@ -776,18 +800,93 @@ class TransitionMatrix(NamedTuple):
 
 @lru_cache(maxsize=None)
 def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix:
-    if algebra_of(source) != algebra_of(target):
+    """The one dense builder.  Between a basis and the canonical one the rows
+    are its maps' lines (whole matrices where a map reads one), or `_carried`
+    for a basis registered by its image alone; any other pair converts term
+    by term through the canonical basis."""
+    algebra = algebra_of(source)
+    if algebra_of(target) != algebra:
         raise ValueError("transition matrix needs two bases of one algebra")
     cs = comps.compositions(comps.check_dense_degree(degree))
-    where = {c: j for j, c in enumerate(cs)}
-    rows = []
-    for a in cs:
-        x = term(source, a).convert(target)
-        row = [0] * len(cs)
-        for (_, c), v in x._terms.items():
-            row[where[c]] = v
-        rows.append(tuple(row))
-    return TransitionMatrix(source, target, degree, cs, tuple(rows))
+    canonical = CANONICAL[algebra]
+    forth = target == canonical
+    if canonical not in (source, target):
+        def line(a):
+            return {c: v for (_, c), v in term(source, a).convert(target)._terms.items()}
+    else:
+        info = _REGISTRY[source if forth else target]
+        line = info.expand if forth else info.unexpand
+        if info.image:
+            return TransitionMatrix(source, target, degree, cs,
+                                    _carried(*info.image, canonical, degree, forth))
+        if isinstance(line, MatrixLines):
+            return TransitionMatrix(source, target, degree, cs, line.lines(degree))
+    zeros = (0,) * len(cs)
+    rows = tuple(tuple(map(line(a).get, cs, zeros)) for a in cs)
+    return TransitionMatrix(source, target, degree, cs, rows)
+
+
+def _rows(source: str, target: str, degree: int) -> tuple:
+    return transition_matrix(source, target, degree).rows
+
+
+def _carried(name: str, source: str, canonical: str, degree: int, forth: bool) -> tuple:
+    """The rows of X = name(source), X_a = name(source_fix(a)), to (forth) or
+    from the canonical basis: T(X -> can) = fix T(source -> can) Q and
+    T(can -> X) = Q T(can -> source) fix, Q the matrix of `name`."""
+    if name == "rho":
+        rows = _rows(*((source, canonical) if forth else (canonical, source)), degree)
+    elif forth:  # T Q = (Q^t T^t)^t: the source's lines across, as rows
+        line = _REGISTRY[source].expand
+        across = (line.lines(degree, across=True) if isinstance(line, MatrixLines)
+                  else tuple(zip(*_rows(source, canonical, degree))))
+        rows = tuple(zip(*_psi(across, canonical == "M")))
+    else:
+        rows = _psi(_rows(canonical, source, degree), canonical == "H")
+    if name != "psi":  # rho and omega = rho psi
+        where = {c: i for i, c in enumerate(comps.compositions(degree))}
+        flip = [where[comps.reverse(c)] for c in where]
+        rows = tuple(tuple(map(rows[i].__getitem__, flip)) for i in flip)
+    return rows
+
+
+def _psi(rows: tuple, on_h: bool) -> tuple:
+    """psi over the rows of a square matrix: P rows (`on_h`) or P^t rows.
+    Index k of compositions(n), in n - 1 bits with the first position
+    highest, is the complement of the descent set, so c refines b exactly
+    when k(c) is a submask of k(b), and (-1)^(n - len c) = (-1)^popcount(k(c)).
+    So psi(H_b) = E_b makes P the signs, then the submask sums, one pass per
+    bit; psi(M_a), P^t, is the supermask sums, then the signs.  Each row
+    travels as one integer with a 64-bit field per entry (biased, so that a
+    field reads back signed), and a pass adds whole rows at once."""
+    size = len(rows)
+    if size * max(max(map(max, rows)), -min(map(min, rows))) >> 63:
+        raise ArithmeticError("transition matrix entries too large for 64-bit fields")
+    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
+    packed = [(int.from_bytes(array("q", row).tobytes(), "little") ^ bias) - bias
+              for row in rows]
+    if on_h:
+        _sign(packed)
+    bit = 1
+    while bit < size:
+        for k in (k for k in range(size) if k & bit):
+            if on_h:
+                packed[k] += packed[k ^ bit]
+            else:
+                packed[k ^ bit] += packed[k]
+        bit <<= 1
+    if not on_h:
+        _sign(packed)
+    packed.reverse()  # popped in order, so that each row is freed once read back
+    return tuple(tuple(array("q", ((packed.pop() + bias) ^ bias).to_bytes(8 * size, "little")))
+                 for _ in range(size))
+
+
+def _sign(packed: list) -> None:
+    """Row k times (-1)^popcount(k), in place."""
+    for k in range(len(packed)):
+        if bin(k).count("1") % 2:
+            packed[k] = -packed[k]
 
 
 # ---------------------------------------------------------------------------

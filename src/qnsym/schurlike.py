@@ -30,7 +30,6 @@ pairs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import attrgetter
 from typing import NamedTuple
@@ -70,21 +69,6 @@ def _at_sh(family: str, index) -> tuple:
 # ---------------------------------------------------------------------------
 # basis registration
 
-def _line_reader(matrix, indices, column: bool):
-    """Row or column `key` of matrix(n), n = |key|, as {index: entry} over
-    the sorted canonical list indices(n), zeros dropped: one reader for K
-    and K^-1 of the shin pair and of the Sym bridge."""
-    def read(key):
-        n = sum(key)
-        rows = matrix(n)
-        ordered = indices(n)
-        k = bisect_left(ordered, tuple(key))
-        line = (row[k] for row in rows) if column else rows[k]
-        return {c: v for c, v in zip(ordered, line) if v}
-
-    return read
-
-
 @lru_cache(maxsize=None)
 def _kappa_inverse(n: int) -> tuple:
     """The inverse of the shin K at degree n: column b is sh_b in H, by
@@ -105,10 +89,11 @@ def register_bases() -> None:
     def shin_kappa(n):  # looked up per call so that tab.kappa_matrix can be replaced
         return tab.kappa_matrix("shin", n)
 
-    core.register_basis("sh", NSYM, _line_reader(_kappa_inverse, comps.compositions, True),
-                        _line_reader(shin_kappa, comps.compositions, True))
-    core.register_basis("sh*", QSYM, _line_reader(shin_kappa, comps.compositions, False),
-                        _line_reader(_kappa_inverse, comps.compositions, False))
+    lines = partial(core.MatrixLines, indices=comps.compositions)
+    core.register_basis("sh", NSYM, lines(_kappa_inverse, column=True),
+                        lines(shin_kappa, column=True))
+    core.register_basis("sh*", QSYM, lines(shin_kappa, column=False),
+                        lines(_kappa_inverse, column=False))
     for family, name in INVOLUTION.items():
         if name is None:
             continue
@@ -401,25 +386,11 @@ def _kostka_inverse(n: int) -> tuple:
     return _eliminated(comps.partitions(n), True)
 
 
-def _sym_reader(matrix, column: bool):
-    """Apply matrix(n) to {partition: coeff} by rows (s -> m with K, m -> s
-    with K^-1) or by columns (h -> s with K, s -> h with K^-1)."""
-    line = _line_reader(matrix, comps.partitions, column)
-
-    def apply(coeffs):
-        out = {}
-        for lam, c in coeffs.items():
-            for mu, v in line(lam).items():
-                out[mu] = out.get(mu, 0) + c * v
-        return {mu: c for mu, c in out.items() if c}
-
-    return apply
-
-
-_s_to_m = _sym_reader(kostka_matrix, column=False)
-_h_to_s = _sym_reader(kostka_matrix, column=True)
-_m_to_s = _sym_reader(_kostka_inverse, column=False)
-_s_to_h = _sym_reader(_kostka_inverse, column=True)
+# s -> m and m -> s apply K and K^-1 by rows, h -> s and s -> h by columns
+_s_to_m = core.MatrixLines(kostka_matrix, comps.partitions, False).apply
+_h_to_s = core.MatrixLines(kostka_matrix, comps.partitions, True).apply
+_m_to_s = core.MatrixLines(_kostka_inverse, comps.partitions, False).apply
+_s_to_h = core.MatrixLines(_kostka_inverse, comps.partitions, True).apply
 _TO_S = {"m": _m_to_s, "h": _h_to_s}
 _FROM_S = {"m": _s_to_m, "h": _s_to_h}
 

@@ -470,6 +470,29 @@ def test_module_entry_point_runs_the_cli():
         assert _python("-m", module, "expand", "--basis", "nope", "sh[3,2]").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["poset-chains", "", "1000"],
+                                  ["transition-matrix", "H", "R", "10"]])
+def test_a_closed_stdout_ends_quietly(argv):
+    """The reader closes the pipe after 50 bytes, as `| head -c 50` does.
+    The matrix (532 kB) overfills the pipe, so its writes always meet the
+    closed end; the chain (9 kB) may be written before the close."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.Popen([sys.executable, "-m", "qnsym", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = child.stdout.read(50)
+    child.stdout.close()
+    err = child.stderr.read()
+    status = child.wait(timeout=120)
+    assert len(head) == 50
+    assert err == b""
+    assert status in ((0, 141) if argv[0] == "poset-chains" else (141,))
+
+
 def test_cli_import_loads_no_suite_and_no_dataclasses():
     done = _python("-c", "import sys, qnsym.cli; print(sorted(m for m in "
                          "('qnsym.verify', 'dataclasses', 'inspect') if m in sys.modules))")

@@ -384,6 +384,34 @@ def test_transition_matrix():
     assert rt.rows == ((1, -1), (0, 1))
 
 
+def test_composition_index_bits_are_the_complement_of_the_descent_set():
+    """What the whole-degree involutions index by: bit n - 1 - i of the
+    index k of a composition of n (the first position highest) is set
+    exactly when i is not a partial sum."""
+    for n in range(1, 10):
+        for k, c in enumerate(comps.compositions(n)):
+            assert {i for i in range(1, n) if not k >> (n - 1 - i) & 1} == comps.set_of(c)
+
+
+def test_whole_row_psi_is_the_product_with_the_closed_forms():
+    """`core._psi` against the matrices of psi's closed forms, E_b in H on H
+    and the signed coarsening sums on M, on rows with entries near the
+    64-bit fields' limit; entries past it are refused."""
+    for n in range(7):
+        cs = comps.compositions(n)
+        size = len(cs)
+        big = (1 << 62) // size  # sums reach 2^62, inside the signed 64-bit fields
+        rows = tuple(tuple((3 * i + 7 * j) % 11 - 5 + (big if i == j else -big if j == 0 else 0)
+                           for j in range(size)) for i in range(size))
+        for on_h, closed_form in ((True, core._E_H), (False, core._psi_M)):
+            matrix = [[closed_form(a).get(c, 0) for c in cs] for a in cs]
+            want = tuple(tuple(sum(matrix[i][k] * rows[k][j] for k in range(size))
+                               for j in range(size)) for i in range(size))
+            assert core._psi(rows, on_h) == want, (n, on_h)
+    with pytest.raises(ArithmeticError, match="64-bit"):
+        core._psi(((1 << 62, 0), (0, 0)), True)
+
+
 def test_str_and_json_roundtrip():
     x = term("H", (3, 2)) - term("H", (4, 1))
     assert str(x) == "H[3,2] - H[4,1]"

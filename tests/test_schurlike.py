@@ -1000,6 +1000,63 @@ def test_the_registry_derives_the_maps_of_the_transported_bases():
             assert info.unexpand(a) == unexpand(a), (tok, a)
 
 
+def test_transition_matrices_match_the_term_by_term_rows():
+    """The whole-degree route against the term-by-term one: every basis, both
+    ways, degrees 0-7.  The image bases' rows come from the `_transported`
+    reference, the others' from `Element.convert`."""
+    reference = {tok: _transported(name, source) for tok, name, source in TRANSPORTED}
+    for tok in core.bases():
+        canonical = core.CANONICAL[core.algebra_of(tok)]
+        for n in range(8):
+            cs = comps.compositions(n)
+            for way, pair in enumerate(((tok, canonical), (canonical, tok))):
+                for a, row in zip(cs, core.transition_matrix(*pair, n).rows):
+                    if tok in reference:
+                        line = reference[tok][way](a)
+                    else:
+                        x = term(pair[0], a).convert(pair[1])
+                        line = {c: v for (_, c), v in x.terms.items()}
+                    assert row == tuple(line.get(c, 0) for c in cs), (pair, a)
+
+
+def test_tableau_suite_reports_psi_without_its_sign(monkeypatch):
+    """With the sign of the whole-degree psi dropped, the row-strict and
+    backward matrices (backward is rho of row-strict) no longer match their
+    tableau counts, and the flipped ones, carried by rho alone, still do."""
+    from qnsym import verify
+
+    monkeypatch.setattr(core, "_sign", lambda rows: None)
+    _clear_conversion_caches()
+    try:
+        failures = verify.verify("tableaux", max_degree=3).failures
+    finally:
+        monkeypatch.undo()
+        _clear_conversion_caches()
+    transport = [f for f in failures if "but transport" in f]
+    assert {f.split()[0] for f in transport} == {"row_strict", "backward"}, failures
+    for label in ("H -> rsh", "rsh* -> M", "H -> bsh", "bsh* -> M"):
+        assert any(label in f for f in transport), (label, failures)
+
+
+def test_omega_carries_what_rho_of_psi_carries(monkeypatch):
+    """bsh and bsh* are registered as rho of rsh and rsh*; registered as omega
+    of sh and sh* instead, they get the same matrices."""
+    bases = ("bsh", "bsh*")
+    want = {(tok, n): (core.transition_matrix(tok, can, n), core.transition_matrix(can, tok, n))
+            for tok, can in zip(bases, ("H", "M")) for n in range(8)}
+    for tok, source in zip(bases, ("sh", "sh*")):
+        monkeypatch.setitem(core._REGISTRY, tok,
+                            core._REGISTRY[tok]._replace(image=("omega", source)))
+    core.transition_matrix.cache_clear()
+    try:
+        got = {(tok, n): (core.transition_matrix(tok, can, n), core.transition_matrix(can, tok, n))
+               for tok, can in zip(bases, ("H", "M")) for n in range(8)}
+    finally:
+        monkeypatch.undo()
+        core.transition_matrix.cache_clear()
+    assert got == want
+
+
 def test_e_keeps_its_closed_form_maps():
     assert core._REGISTRY["E"].expand is core._E_H
     assert core._REGISTRY["E"].unexpand is core._E_H
