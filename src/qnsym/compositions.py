@@ -31,7 +31,7 @@ MAX_DENSE_DEGREE = 12
 
 # The budget of every listing or walk that can grow exponentially: refinements
 # and coarsenings of one composition (all of degree <= 17), Jacobi-Trudi words,
-# the live states of a ribbon product and the chains of `maximal_chains`.
+# the live states of a `tableaux.strip_walk` and the chains of `maximal_chains`.
 MAX_REFINEMENTS = 2 ** 16
 
 # One backtracking run over tableau fillings places at most this many
@@ -218,8 +218,3 @@ def rearrangement_count(lam) -> int:
         placed += m
         count *= comb(placed, m)
     return count
-
-
-def flatten(weak) -> tuple:
-    """Drop zero parts of a weak composition."""
-    return tuple(a for a in weak if a)

@@ -212,29 +212,29 @@ def pieri_elimination(alpha) -> Element:
 # ---------------------------------------------------------------------------
 # ribbon multiplication, skew functions, structure coefficients
 
+def _ribbon_moves(part, merge, state):
+    """`tab.strip_walk` moves from (mu, open part s): close s + part by the
+    Pieri rule, or merge it into the next part, sign flipped."""
+    mu, s = state
+    s += part
+    return [(nu, 0) for nu in tab.strip_extensions(mu, s)], [(mu, s)] if merge else ()
+
+
 def ribbon_multiply(family: str, alpha, beta) -> Element:
     """The product of the family basis element with R_beta on the family's
     side: sh at the carried index times the carried R_gamma, carried back.
-    R_gamma is the signed sum of H over gamma's coarsenings, so the walk closes
-    each part's open strip by the Pieri rule or merges it into the next, sign flipped."""
+    R_gamma is the signed sum of H over gamma's coarsenings, so a
+    `tab.strip_walk` over (shape, open part) states takes one step a part,
+    closing the open part by the Pieri rule or merging it into the next."""
     family = family_name(family)
     alpha = comps.check_composition(alpha)
     beta = comps.check_composition(beta)
     carry, base = _at_sh(family, alpha)
     (_, gamma), = carry(term("R", beta)).terms
+    what = f"{NSYM_TOKEN[family]}{list(alpha)} R{list(beta)}"
     states = {(base, 0): 1}
     for i, part in enumerate(gamma):
-        walked = {}
-        for (mu, s), c in states.items():
-            s += part
-            if i < len(gamma) - 1:  # the last part must close
-                walked[mu, s] = walked.get((mu, s), 0) - c
-            for nu in tab.strip_extensions(mu, s):
-                walked[nu, 0] = walked.get((nu, 0), 0) + c
-        states = {k: c for k, c in walked.items() if c}
-        if len(states) > comps.MAX_REFINEMENTS:
-            raise ValueError(f"{NSYM_TOKEN[family]}{list(alpha)} R{list(beta)} needs more than "
-                             f"{comps.MAX_REFINEMENTS} live states, past the budget")
+        states = tab.strip_walk(states, partial(_ribbon_moves, part, i < len(gamma) - 1), what)
     return carry(Element._of(NSYM, {("sh", mu): c for (mu, _), c in states.items()}))
 
 

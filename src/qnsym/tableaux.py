@@ -5,16 +5,16 @@ skew shape removes a left prefix of boxes from each of the *top* rows; a
 skew-II shape removes a left prefix from each of the *bottom* rows (the
 last len(inner) rows of the outer shape, matched to inner in order).
 
-Each family fixes a row order, a column order, a reading order, and a
-descent rule; column conditions compare consecutive boxes in the same
-column taken in increasing row order, skipping rows that are too short
-(or whose box in that column was removed):
+Each family fixes a row order, a column order and a descent rule; column
+conditions compare consecutive boxes in the same column taken in
+increasing row order, skipping rows that are too short (or whose box in
+that column was removed):
 
-family      rows (left to right)  columns (top down)  reading         descent i
-shin        weakly increasing     strictly increasing bottom up, L-R  i+1 strictly below
-row_strict  strictly increasing   weakly increasing   top down,  L-R  i+1 weakly above
-flipped     weakly decreasing     strictly increasing bottom up, R-L  i+1 strictly below
-backward    strictly decreasing   weakly increasing   top down,  R-L  i+1 weakly above
+family      rows (left to right)  columns (top down)  descent i
+shin        weakly increasing     strictly increasing i+1 strictly below
+row_strict  strictly increasing   weakly increasing   i+1 weakly above
+flipped     weakly decreasing     strictly increasing i+1 strictly below
+backward    strictly decreasing   weakly increasing   i+1 weakly above
 
 K matrices (tableaux of straight shape alpha and type beta) are counted two
 ways, and the two share no code.  `count_matrix` backtracks over fillings
@@ -26,6 +26,9 @@ K[alpha][beta] is the number of chains () = g0 < g1 < ... < gk = alpha whose
 i-th step is a strip of beta_i boxes.  It builds the shin matrix and, kept
 on partition shapes, the Kostka matrix (`schurlike.kostka_matrix`); with
 one-box steps they are the saturated chains that `maximal_chains` lists.
+Every walk of the Pieri rule over {shape: coefficient} (`strip_chains`,
+`maximal_chains`' count, `schurlike.ribbon_multiply`) is a loop of one
+step, `strip_walk`, which merges, cancels and holds the walk to the budget.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ _DESCENT = {
     "flipped": lambda r, s: s > r,
     "backward": lambda r, s: s <= r,
 }
-_READS_BOTTOM_UP = {"shin": True, "row_strict": False, "flipped": True, "backward": False}
-_READS_RIGHT_TO_LEFT = {"shin": False, "row_strict": False, "flipped": True, "backward": True}
 
 
 def _check_family(family: str) -> str:
@@ -150,15 +151,6 @@ class Tableau(NamedTuple):
 
     def entries(self) -> list:
         return [v for row in self.rows for v in row]
-
-    def weight(self) -> tuple:
-        """Multiplicity of each value 1..max as a weak composition."""
-        vals = self.entries()
-        top = max(vals, default=0)
-        return tuple(vals.count(v) for v in range(1, top + 1))
-
-    def type(self) -> tuple:
-        return comps.flatten(self.weight())
 
     def is_standard(self) -> bool:
         return sorted(self.entries()) == list(range(1, self.size + 1))
@@ -302,39 +294,6 @@ def descent_composition(t: Tableau) -> tuple:
     return comps.comp_of(descents, n)
 
 
-def reading_order(t: Tableau) -> list:
-    """Cells of t in the family's reading order."""
-    rem = t.shape.removed
-    rows = range(len(t.rows))
-    if _READS_BOTTOM_UP[t.family]:
-        rows = reversed(rows)
-    order = []
-    for r in rows:
-        cols = range(rem[r], rem[r] + len(t.rows[r]))
-        if _READS_RIGHT_TO_LEFT[t.family]:
-            cols = reversed(cols)
-        order.extend((r, c) for c in cols)
-    return order
-
-
-def standardize(t: Tableau) -> Tableau:
-    """Relabel entries 1..n by value, ties broken by the reading order."""
-    order = reading_order(t)
-    rem = t.shape.removed
-    ranked = sorted(
-        range(len(order)),
-        key=lambda i: (t.rows[order[i][0]][order[i][1] - rem[order[i][0]]], i),
-    )
-    label = {}
-    for new, i in enumerate(ranked, start=1):
-        label[order[i]] = new
-    rows = tuple(
-        tuple(label[(r, c)] for c in range(rem[r], rem[r] + len(t.rows[r])))
-        for r in range(len(t.rows))
-    )
-    return Tableau(t.family, t.shape, rows)
-
-
 def flip(t: Tableau) -> Tableau:
     """Reverse the row order and relabel i -> n+1-i: standard shin -> flipped."""
     if t.family != "shin" or not t.is_standard():
@@ -417,28 +376,64 @@ def strip_extensions(alpha, r: int) -> tuple:
     return tuple(sorted(found))
 
 
+def strip_walk(states, moves, what) -> dict:
+    """One step of a signed walk over {state: int}: `moves(state)` gives
+    (up, down), the states its coefficient goes to with sign +1 and -1.
+    Equal states merge and cancelled ones drop.  More than
+    comps.MAX_REFINEMENTS live states are refused while the step runs:
+    past that many held, the cancelled ones are dropped, at most once a
+    quarter budget of new states, and the rest counted."""
+    budget = comps.MAX_REFINEMENTS
+    out, limit = {}, budget
+    get = out.get
+    for state, c in states.items():
+        up, down = moves(state)
+        for nxt in up:
+            out[nxt] = get(nxt, 0) + c
+        for nxt in down:
+            out[nxt] = get(nxt, 0) - c
+        if len(out) > limit:
+            out = {k: v for k, v in out.items() if v}
+            if len(out) > budget:
+                break
+            get, limit = out.get, len(out) + budget // 4
+    if 0 in out.values():
+        out = {k: v for k, v in out.items() if v}
+    if len(out) > budget:
+        raise ValueError(f"{what} needs more than {budget} live states, past the budget")
+    return out
+
+
+class _Strips(dict):
+    """shape -> its strips of r boxes that pass `keep`, as `strip_walk`
+    moves (all of sign +1), listed at the shape's first lookup."""
+
+    def __init__(self, r, keep=None):
+        self.r, self.keep = r, keep
+
+    def __missing__(self, gamma):
+        ext = strip_extensions(gamma, self.r)
+        ext = self[gamma] = (tuple(filter(self.keep, ext)) if self.keep else ext), ()
+        return ext
+
+
 def strip_chains(start, words, keep=None):
     """Yield (word, counts) for each distinct word in sorted order: counts[g]
     is the number of chains start = g0 < g1 < ... < gk = g whose t-th step
     is a strip of word[t] boxes, every g passing `keep` if given (the
-    paper's right Pieri rule sh_a H_r, part by part).  Sorted words that
-    share a prefix are adjacent, so each prefix is walked once and only the
-    counts along the current word are held; strip lists are memoised."""
-    path, strips = [((), {tuple(start): 1})], {}  # (prefix, counts) pairs
-    for word in sorted(set(map(tuple, words))):
+    paper's right Pieri rule sh_a H_r, one `strip_walk` step a part).
+    Sorted words that share a prefix are adjacent, so each prefix is walked
+    once and only the counts along the current word are held."""
+    start, words = tuple(start), sorted(set(map(tuple, words)))
+    moves = {r: _Strips(r, keep).__getitem__ for word in words for r in word}
+    path = [((), {start: 1})]  # (prefix, counts) pairs
+    for word in words:
         while path[-1][0] != word[:len(path[-1][0])]:
             path.pop()
         prefix, counts = path[-1]
         for r in word[len(prefix):]:
-            grown = {}
-            for gamma, c in counts.items():
-                ext = strips.get((gamma, r))
-                if ext is None:
-                    ext = strip_extensions(gamma, r)
-                    ext = strips[gamma, r] = tuple(filter(keep, ext)) if keep else ext
-                for delta in ext:
-                    grown[delta] = grown.get(delta, 0) + c
-            prefix, counts = prefix + (r,), grown
+            counts = strip_walk(counts, moves[r], f"strip chains from {list(start)}")
+            prefix += (r,)
             path.append((prefix, counts))
         yield word, counts
 
@@ -457,24 +452,28 @@ def poset_covers(alpha) -> tuple:
 
 def maximal_chains(beta, alpha) -> tuple:
     """All saturated chains beta = g0 < g1 < ... < gm = alpha, one box a step,
-    in lexicographic order.  The covers inside alpha are found once per shape
-    and the chains from each shape counted, so more than comps.MAX_REFINEMENTS
-    are refused before any is listed; the rest are listed level by level."""
+    in lexicographic order.  A step goes only to shapes that reach alpha
+    (inside it, with a chain-legal skew), so each partial chain ends in a
+    full one.  The chains are counted by `strip_walk`, one level of shapes
+    at a time, and more than comps.MAX_REFINEMENTS are refused before any
+    is listed; the rest are listed level by level over the same covers."""
     alpha, beta = tuple(alpha), tuple(beta)
-    covers, level = {}, [beta]
-    while level:  # one box larger at each pass, so covers is in size order
-        for g in level:
-            covers[g] = [h for h in poset_covers(g) if comps.dominated(h, alpha)]
-        level = list(dict.fromkeys(h for g in level for h in covers[g]))
-    count = {}
-    for g in reversed(covers):
-        count[g] = 1 if g == alpha else sum(count[h] for h in covers[g])
-    if count[beta] > comps.MAX_REFINEMENTS:
-        raise ValueError(f"{list(beta)} -> {list(alpha)} has {count[beta]} maximal "
-                         f"chains, past the budget of {comps.MAX_REFINEMENTS}")
-    chains = [(beta,)] if count[beta] else []
-    for _ in range(sum(alpha) - sum(beta)):
-        chains = [chain + (h,) for chain in chains for h in covers[chain[-1]] if count[h]]
+
+    def reaches(g):
+        return comps.dominated(g, alpha) and is_chain_legal(Shape("skew", alpha, g))
+
+    covers, what = _Strips(1, reaches).__getitem__, f"{list(beta)} -> {list(alpha)}"
+    steps = range(sum(alpha) - sum(beta))
+    level = {beta: 1} if reaches(beta) else {}
+    for _ in steps:
+        level = strip_walk(level, covers, what)
+    count = level.get(alpha, 0)
+    if count > comps.MAX_REFINEMENTS:
+        raise ValueError(f"{what} has {count} maximal chains, past the budget of "
+                         f"{comps.MAX_REFINEMENTS}")
+    chains = [(beta,)] if count else []
+    for _ in steps:
+        chains = [chain + (h,) for chain in chains for h in covers(chain[-1])[0]]
     return tuple(chains)
 
 

@@ -93,11 +93,6 @@ def test_partitions_and_sorting():
     assert not comps.is_partition((1, 2))
 
 
-def test_flatten():
-    assert comps.flatten((0, 2, 0, 1)) == (2, 1)
-    assert comps.flatten(()) == ()
-
-
 def test_partitions_match_the_composition_filter():
     # the direct generator against the earlier route: filter all compositions
     for n in range(15):

@@ -465,6 +465,24 @@ def test_ribbon_multiply_refuses_past_the_live_state_budget(monkeypatch):
         sl.ribbon_multiply("sh", (2, 1), (1, 2, 1))
 
 
+def test_ribbon_multiply_refuses_during_the_step(monkeypatch):
+    # the walk lists strips once per state, and enters 1, 4, 15 and 33
+    # states at its first four parts; the fourth step ends past 50 live
+    # states, so a refusal inside it lists more than 1 + 4 + 15 = 20 and
+    # fewer than the 53 that finishing it would take
+    true_strips, calls = tab.strip_extensions, []
+
+    def recording(alpha, r):
+        calls.append(alpha)
+        return true_strips(alpha, r)
+
+    monkeypatch.setattr(tab, "strip_extensions", recording)
+    monkeypatch.setattr(comps, "MAX_REFINEMENTS", 50)
+    with pytest.raises(ValueError, match="needs more than 50 live states"):
+        sl.ribbon_multiply("sh", (1, 1), (1, 2) * 4)
+    assert 20 < len(calls) < 53
+
+
 def test_ribbon_multiply_by_r_of_ones_is_the_e_pieri_rule():
     """R_(1^n) = E_n, so rsh and bsh, whose Pieri rules multiply by E, answer
     1^19 from the one H-word of its complement (transpose)."""

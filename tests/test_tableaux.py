@@ -181,28 +181,6 @@ def test_standard_sets_coincide_in_pairs():
                 assert b == comps.complement(a)
 
 
-def test_standardize_frozen_examples():
-    t = tab.make_tableau("shin", tab.straight((2, 3)), ((1, 1), (2, 2, 2)))
-    assert tab.standardize(t).rows == ((1, 2), (3, 4, 5))
-    u = tab.make_tableau("flipped", tab.straight((2, 3)), ((1, 1), (2, 2, 2)))
-    su = tab.standardize(u)
-    assert su.rows == ((2, 1), (5, 4, 3))
-    assert tab.descent_composition(su) == (2, 3)
-
-
-def test_standardize_properties():
-    for family in tab.FAMILIES:
-        for shape in (tab.straight((2, 2)), tab.straight((1, 3, 1)), tab.skew((2, 3), (1,))):
-            for w in comps.compositions(shape.size):
-                for t in tab.enumerate_tableaux(shape, family, w):
-                    s = tab.standardize(t)
-                    assert s.is_standard() and tab.validate(s)
-                    assert comps.refines(t.type(), tab.descent_composition(s))
-                    # standard tableaux are fixed points
-                    if t.is_standard():
-                        assert s.rows == t.rows
-
-
 # --- flip --------------------------------------------------------------------
 
 def test_flip_examples():
@@ -344,13 +322,19 @@ def _chains_depth_first(beta, alpha):
 
 
 def test_maximal_chains_match_the_depth_first_listing():
-    # every pair through degree 7, chains compared in order
+    # every pair through degree 7, chains compared in order; and the rule by
+    # which the listing prunes its steps, checked against the search, which
+    # never asks it: beta reaches alpha exactly when a chain joins them
     pairs = 0
     for n in range(8):
         for alpha in comps.compositions(n):
             for m in range(n + 1):
                 for beta in comps.compositions(m):
-                    assert tab.maximal_chains(beta, alpha) == _chains_depth_first(beta, alpha)
+                    want = _chains_depth_first(beta, alpha)
+                    assert tab.maximal_chains(beta, alpha) == want
+                    reaches = comps.dominated(beta, alpha) and \
+                        tab.is_chain_legal(tab.Shape("skew", alpha, beta))
+                    assert reaches == bool(want), (beta, alpha)
                     pairs += 1
     assert pairs == 10923
 
@@ -367,6 +351,22 @@ def test_maximal_chains_refuse_past_the_budget_and_list_below_it():
     start = time.perf_counter()
     assert len(tab.maximal_chains((), (4, 4, 4, 4))) == 24024
     assert time.perf_counter() - start < 2.0
+
+
+def test_maximal_chains_refuse_before_listing_or_covering_every_shape(monkeypatch):
+    # 194481 shapes fit inside (20,20,20,20), but only those that reach it are
+    # stepped to and covered; the count is f^(20^4) by the hook length formula
+    true_strips, calls = tab.strip_extensions, []
+
+    def recording(alpha, r):
+        calls.append(alpha)
+        return true_strips(alpha, r)
+
+    monkeypatch.setattr(tab, "strip_extensions", recording)
+    with pytest.raises(ValueError, match="has 237782242855131552280114384701056328000 "
+                                         "maximal chains, past the budget of 65536"):
+        tab.maximal_chains((), (20, 20, 20, 20))
+    assert len(calls) < 20000
 
 
 # --- the shin K matrix from strip chains, against the old routes ---------------
