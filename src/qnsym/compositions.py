@@ -115,12 +115,10 @@ def conjugate(lam) -> tuple:
     return tuple(sum(1 for a in lam if a >= c) for c in range(1, (lam[0] if lam else 0) + 1))
 
 
-def concat(alpha, beta) -> tuple:
-    return tuple(alpha) + tuple(beta)
-
-
 def refines(alpha, beta) -> bool:
-    """alpha refines beta: beta is obtained by merging adjacent parts of alpha."""
+    """alpha refines beta: beta is obtained by merging adjacent parts of alpha.
+    No production route asks; it is the definition that the tests check
+    `coarsenings` and `refinements` against."""
     if sum(alpha) != sum(beta):
         return False
     return set_of(beta) <= set_of(alpha)

@@ -9,24 +9,30 @@ validates every key; library code builds from checked keys unchecked.
 
 H (complete homogeneous) and M (monomial) are the canonical bases of NSym
 and QSym; every other basis registers a pair of expansion maps to and from
-the canonical one, and all structural operations (products, coproducts,
-the pairing, involutions, the antipode) are computed canonically and
-converted back.  A tensor converts one leg at a time: the left leg of
-every term, merged, then the right.  The involutions have closed forms on
-the canonical bases: rho reverses the index of H_a and M_a, psi(H_a) = E_a,
-psi(M_a) is a signed sum over the coarsenings of a, omega = rho psi, and
-the antipode is (-1)^degree omega.  On the ribbon basis R and the
+the canonical one, and all structural operations (products, coproducts, the
+pairing, involutions, the antipode) are computed canonically and converted
+back.  Every linear map on a combination is one kernel, `linear`, which
+sums c * line(key), merges equal keys and drops zeros: basis changes, the
+canonical route of the involutions and the coproduct call it, while the
+bilinear products (`multiply`, the tensor product, `_peel`) keep their
+loops inline.  A tensor converts one leg at a time (`_leg`): the left leg
+of every term, merged, then the right.  The involutions have closed forms
+on the canonical bases: rho reverses the index of H_a and M_a,
+psi(H_a) = E_a, psi(M_a) is a signed sum over the coarsenings of a,
+omega = rho psi, and the antipode is (-1)^degree omega.  On the ribbon basis R and the
 fundamental basis F each involution is a pure reindex: psi complements the
 index, rho reverses it and omega transposes it.  A basis registered as the
 image of another (E = psi(H), and the Schur-like bases transported from
-shin) is reached from it by reindexing alone.  So an involution of an
+shin, the starred ones with maps that read their partners' matrices
+transposed) is reached from it by reindexing alone.  So an involution of an
 element of R, F or a registered image into its partner basis, and the
 antipode, skip the canonical round trip; mixed supports and the other bases
 take it.  A basis registered by its image alone reads its maps off the rows
 of `transition_matrix`, the one dense builder, which carries the source's
 matrices a whole degree at a time by the involution's matrix on the
 canonical basis: rho reverses indices, and psi is a sign diagonal times the
-zeta matrix of the Boolean lattice of descent sets.
+zeta matrix of the Boolean lattice of descent sets.  Between two other
+bases it is the product of their matrices through the canonical basis.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -61,6 +67,17 @@ class _BasisInfo(NamedTuple):
     image: tuple = None  # (name, source) when the maps are derived from the image
 
 
+def linear(coeffs: dict, line) -> dict:
+    """The one linear-map kernel: the sum of c * line(key) over {key: c},
+    each line given as (key, int) pairs, equal keys merged, zeros dropped."""
+    out = {}
+    get = out.get
+    for key, c in coeffs.items():
+        for k, v in line(key):
+            out[k] = get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v} if 0 in out.values() else out
+
+
 class MatrixLines(NamedTuple):
     """A map read off whole-degree matrices: line `key` is row `key` of
     matrix(n), or its column if `column`, over the sorted index list
@@ -76,18 +93,14 @@ class MatrixLines(NamedTuple):
         line = (row[k] for row in rows) if self.column else rows[k]
         return {c: v for c, v in zip(ordered, line) if v}
 
-    def lines(self, n: int, across: bool = False) -> tuple:
-        """Every line of degree n as a dense row (`across`: the other way)."""
+    def lines(self, n: int) -> tuple:
+        """Every line of degree n as a dense row."""
         rows = self.matrix(n)
-        return tuple(zip(*rows)) if self.column != across else rows
+        return tuple(zip(*rows)) if self.column else rows
 
     def apply(self, coeffs: dict) -> dict:
-        """The combination {key: coeff} mapped line by line, zeros dropped."""
-        out = {}
-        for key, c in coeffs.items():
-            for k, v in self(key).items():
-                out[k] = out.get(k, 0) + c * v
-        return {k: c for k, c in out.items() if c}
+        """The combination {key: coeff} mapped line by line (`linear`)."""
+        return linear(coeffs, lambda key: self(key).items())
 
 
 _REGISTRY: dict = {}
@@ -304,10 +317,11 @@ class _Combination:
 
     @classmethod
     def _of(cls, space, terms):
-        """Build from checked keys without re-checking; zeros are dropped."""
+        """Build from checked keys without re-checking; zeros are dropped.
+        The dict is taken over, not copied: the caller keeps no reference."""
         new = object.__new__(cls)
         new._space = space
-        new._terms = {k: c for k, c in terms.items() if c}
+        new._terms = {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
         return new
 
     @property
@@ -425,30 +439,24 @@ class Element(_Combination):
 
     def canonical_dict(self) -> dict:
         """Coefficients in the canonical basis, as {composition: int}."""
-        target = CANONICAL[self._space]
-        out = {}
-        for (basis, comp), coeff in self._terms.items():
-            if basis == target:
-                out[comp] = out.get(comp, 0) + coeff
-            else:
-                for c2, v in _expand(basis, comp):
-                    out[c2] = out.get(c2, 0) + coeff * v
-        return {c: v for c, v in out.items() if v}
+        canonical = CANONICAL[self._space]
+        for basis, _ in self._terms:
+            if basis != canonical:
+                return linear(self._terms, partial(_expanded, canonical))
+        return {comp: c for (_, comp), c in self._terms.items()}
 
     def convert(self, target: str) -> "Element":
         check_basis(target, self._space)
-        canonical = CANONICAL[self._space]
-        if target == canonical:
-            return Element._of(
-                self._space,
-                {(canonical, c): v for c, v in self.canonical_dict().items()},
-            )
-        terms = {}
-        for comp, coeff in self.canonical_dict().items():
-            for c2, v in _unexpand(target, comp):
-                k = (target, c2)
-                terms[k] = terms.get(k, 0) + coeff * v
-        return Element._of(self._space, terms)
+        coeffs = self.canonical_dict()
+        if target != CANONICAL[self._space]:
+            coeffs = linear(coeffs, partial(_unexpand, target))
+        return Element._of(self._space, {(target, c): v for c, v in coeffs.items()})
+
+
+def _expanded(canonical: str, key: tuple) -> tuple:
+    """The line of (basis, comp) in the canonical basis."""
+    basis, comp = key
+    return ((comp, 1),) if basis == canonical else _expand(basis, comp)
 
 
 def element_from_json(data: dict) -> Element:
@@ -569,9 +577,8 @@ class TensorElement(_Combination):
 
     def canonical_dict(self) -> dict:
         """Coefficients with both legs canonical: {(compL, compR): int}."""
-        canonical = CANONICAL[self._space]
-        both = _expand_leg(_expand_leg(self._terms, 0, canonical), 1, canonical)
-        return {k: v for k, v in both.items() if v}
+        line = partial(_expanded, CANONICAL[self._space])
+        return _leg(_leg(self._terms, 0, line), 1, line)
 
     def convert(self, left_basis: str, right_basis: str) -> "TensorElement":
         """Both legs in the given bases: the left leg of every term first,
@@ -583,38 +590,22 @@ class TensorElement(_Combination):
         terms = self.canonical_dict()
         for side, basis in ((0, left_basis), (1, right_basis)):
             if basis != canonical:
-                terms = _unexpand_leg(terms, side, basis)
+                terms = _leg(terms, side, partial(_unexpand, basis))
         return TensorElement._of(algebra, {((left_basis, d1), (right_basis, d2)): v
                                            for (d1, d2), v in terms.items()})
 
 
 # One leg at a time: |U(c1)| + |U(c2)| products per term, not |U(c1)| * |U(c2)|.
 
-def _expand_leg(terms: dict, side: int, canonical: str) -> dict:
-    """Expand leg `side` (0 left, 1 right), a (basis, comp) pair, of every
-    key into the canonical basis, merging equal keys."""
+def _leg(terms: dict, side: int, line) -> dict:
+    """`linear` on leg `side` (0 left, 1 right) of every key, kept inline:
+    through the kernel, rebuilding each key made coproducts 1.5x slower."""
     out = {}
     for key, coeff in terms.items():
-        if not coeff:
-            continue
-        basis, comp = key[side]
-        for leg, v in (((comp, 1),) if basis == canonical else _expand(basis, comp)):
+        for leg, v in line(key[side]):
             k = (leg, key[1]) if side == 0 else (key[0], leg)
             out[k] = out.get(k, 0) + coeff * v
-    return out
-
-
-def _unexpand_leg(terms: dict, side: int, basis: str) -> dict:
-    """Convert leg `side` (0 left, 1 right), a canonical comp, of every key
-    into `basis`, merging equal keys."""
-    out = {}
-    for key, coeff in terms.items():
-        if not coeff:
-            continue
-        for leg, v in _unexpand(basis, key[side]):
-            k = (leg, key[1]) if side == 0 else (key[0], leg)
-            out[k] = out.get(k, 0) + coeff * v
-    return out
+    return {k: v for k, v in out.items() if v} if 0 in out.values() else out
 
 
 def tensor_term(basis_l: str, comp_l, basis_r: str, comp_r, coeff: int = 1) -> TensorElement:
@@ -642,21 +633,17 @@ def _coproduct_H(comp: tuple) -> tuple:
     return tuple(sorted(pieces.items()))
 
 
+def _deconcatenations(comp: tuple) -> tuple:
+    """Deltas of M_comp: it deconcatenates."""
+    return tuple(((comp[:i], comp[i:]), 1) for i in range(len(comp) + 1))
+
+
 def coproduct(x: Element) -> TensorElement:
     algebra = x.algebra
     canonical = CANONICAL[algebra]
-    out = {}
-    for comp, coeff in x.canonical_dict().items():
-        if algebra == NSYM:
-            splits = _coproduct_H(comp)
-        else:  # M deconcatenates
-            splits = tuple(
-                ((comp[:i], comp[i:]), 1) for i in range(len(comp) + 1)
-            )
-        for (l, r), v in splits:
-            k = ((canonical, l), (canonical, r))
-            out[k] = out.get(k, 0) + coeff * v
-    return TensorElement._of(algebra, out)
+    splits = linear(x.canonical_dict(), _coproduct_H if algebra == NSYM else _deconcatenations)
+    return TensorElement._of(algebra, {((canonical, l), (canonical, r)): v
+                                       for (l, r), v in splits.items()})
 
 
 def counit(x: Element) -> int:
@@ -739,12 +726,10 @@ def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
     """The canonical route: x under the involution `name`, with the sign
     (-1)^degree if `signed`, term by term through `_image` on the canonical
     basis, then in `basis`."""
-    out = {}
-    for comp, coeff in x.canonical_dict().items():
-        if signed and sum(comp) % 2:
-            coeff = -coeff
-        for c, v in _image(x.algebra, name, comp):
-            out[c] = out.get(c, 0) + coeff * v
+    coeffs = x.canonical_dict()
+    if signed:
+        coeffs = {comp: -c if sum(comp) % 2 else c for comp, c in coeffs.items()}
+    out = linear(coeffs, partial(_image, x.algebra, name))
     canonical = CANONICAL[x.algebra]
     return Element._of(x.algebra, {(canonical, c): v for c, v in out.items()}).convert(basis)
 
@@ -802,25 +787,24 @@ class TransitionMatrix(NamedTuple):
 def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix:
     """The one dense builder.  Between a basis and the canonical one the rows
     are its maps' lines (whole matrices where a map reads one), or `_carried`
-    for a basis registered by its image alone; any other pair converts term
-    by term through the canonical basis."""
+    for a basis registered by its image alone; any other pair is the product
+    T(source -> canonical) T(canonical -> target)."""
     algebra = algebra_of(source)
     if algebra_of(target) != algebra:
         raise ValueError("transition matrix needs two bases of one algebra")
     cs = comps.compositions(comps.check_dense_degree(degree))
     canonical = CANONICAL[algebra]
-    forth = target == canonical
     if canonical not in (source, target):
-        def line(a):
-            return {c: v for (_, c), v in term(source, a).convert(target)._terms.items()}
-    else:
-        info = _REGISTRY[source if forth else target]
-        line = info.expand if forth else info.unexpand
-        if info.image:
-            return TransitionMatrix(source, target, degree, cs,
-                                    _carried(*info.image, canonical, degree, forth))
-        if isinstance(line, MatrixLines):
-            return TransitionMatrix(source, target, degree, cs, line.lines(degree))
+        return TransitionMatrix(source, target, degree, cs, _product(
+            _rows(source, canonical, degree), _rows(canonical, target, degree)))
+    forth = target == canonical
+    info = _REGISTRY[source if forth else target]
+    line = info.expand if forth else info.unexpand
+    if info.image:
+        return TransitionMatrix(source, target, degree, cs,
+                                _carried(*info.image, canonical, degree, forth))
+    if isinstance(line, MatrixLines):
+        return TransitionMatrix(source, target, degree, cs, line.lines(degree))
     zeros = (0,) * len(cs)
     rows = tuple(tuple(map(line(a).get, cs, zeros)) for a in cs)
     return TransitionMatrix(source, target, degree, cs, rows)
@@ -836,10 +820,8 @@ def _carried(name: str, source: str, canonical: str, degree: int, forth: bool) -
     T(can -> X) = Q T(can -> source) fix, Q the matrix of `name`."""
     if name == "rho":
         rows = _rows(*((source, canonical) if forth else (canonical, source)), degree)
-    elif forth:  # T Q = (Q^t T^t)^t: the source's lines across, as rows
-        line = _REGISTRY[source].expand
-        across = (line.lines(degree, across=True) if isinstance(line, MatrixLines)
-                  else tuple(zip(*_rows(source, canonical, degree))))
+    elif forth:  # T Q = (Q^t T^t)^t
+        across = tuple(zip(*_rows(source, canonical, degree)))
         rows = tuple(zip(*_psi(across, canonical == "M")))
     else:
         rows = _psi(_rows(canonical, source, degree), canonical == "H")
@@ -856,15 +838,10 @@ def _psi(rows: tuple, on_h: bool) -> tuple:
     highest, is the complement of the descent set, so c refines b exactly
     when k(c) is a submask of k(b), and (-1)^(n - len c) = (-1)^popcount(k(c)).
     So psi(H_b) = E_b makes P the signs, then the submask sums, one pass per
-    bit; psi(M_a), P^t, is the supermask sums, then the signs.  Each row
-    travels as one integer with a 64-bit field per entry (biased, so that a
-    field reads back signed), and a pass adds whole rows at once."""
+    bit; psi(M_a), P^t, is the supermask sums, then the signs.  The rows
+    travel packed (`_pack`), and a pass adds whole rows at once."""
     size = len(rows)
-    if size * max(max(map(max, rows)), -min(map(min, rows))) >> 63:
-        raise ArithmeticError("transition matrix entries too large for 64-bit fields")
-    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
-    packed = [(int.from_bytes(array("q", row).tobytes(), "little") ^ bias) - bias
-              for row in rows]
+    packed = _pack(rows, size)  # a row of P or P^t has at most size entries, each +-1
     if on_h:
         _sign(packed)
     bit = 1
@@ -877,6 +854,30 @@ def _psi(rows: tuple, on_h: bool) -> tuple:
         bit <<= 1
     if not on_h:
         _sign(packed)
+    return _unpack(packed)
+
+
+def _product(left: tuple, right: tuple) -> tuple:
+    """left times right, square integer matrices, over packed rows."""
+    packed = _pack(right, max(sum(map(abs, row)) for row in left))
+    return _unpack([sum(v * packed[k] for k, v in enumerate(row) if v) for row in left])
+
+
+def _pack(rows: tuple, weight: int) -> list:
+    """Each row of a square matrix as one integer with a 64-bit field per
+    entry, biased so that a field reads back signed.  Sums of packed rows
+    are the packed sums, for sums whose coefficients add up to at most
+    `weight` in absolute value; past 2^63 / largest entry that is refused."""
+    if weight * max(max(map(max, rows)), -min(map(min, rows))) >> 63:
+        raise ArithmeticError("transition matrix entries too large for 64-bit fields")
+    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * len(rows), "little")
+    return [(int.from_bytes(array("q", row).tobytes(), "little") ^ bias) - bias
+            for row in rows]
+
+
+def _unpack(packed: list) -> tuple:
+    size = len(packed)
+    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
     packed.reverse()  # popped in order, so that each row is freed once read back
     return tuple(tuple(array("q", ((packed.pop() + bias) ^ bias).to_bytes(8 * size, "little")))
                  for _ in range(size))

@@ -15,11 +15,13 @@ is sh_prefix H_last minus sh over the prefix's other strip extensions
 give the Kostka matrix and its inverse.  The other pairs are registered as
 its images under INVOLUTION: psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a),
 omega(sh_a) = bsh_rev(a), starred alike, which is all the registry needs to
-derive their maps; their own tableau counts are the oracle of `verify
-tableaux`.  On top of the bases live the Pieri rules, the beth creation
-operators, Jacobi-Trudi expansions (the creation operators folded over the
-index), ribbon multiplication, skew and skew-II functions, structure
-coefficients, coproduct formulas, and the bridge to symmetric functions.
+derive the NSym bases' maps; each starred basis, the dual of its partner,
+reads its partner's matrices transposed.  Their own tableau counts are the
+oracle of `verify tableaux`.  On top of the bases live the Pieri rules, the
+beth creation operators, Jacobi-Trudi expansions (the creation operators
+folded over the index), ribbon multiplication, skew and skew-II functions,
+structure coefficients, coproduct formulas, and the bridge to symmetric
+functions.
 The Pieri, Jacobi-Trudi and ribbon routes work for sh and reach the other
 families by `core.involution` under INVOLUTION alone; a ribbon product
 walks the ribbon part by part, so no tableau or H-word is listed here.  Skew
@@ -77,12 +79,13 @@ def _kappa_inverse(n: int) -> tuple:
 
 
 def register_bases() -> None:
-    """Install the eight Schur-like bases into the conversion registry:
-    sh and sh* read off the shin K (strip chains) and K^-1 (Pieri
-    elimination), the other six as their images under INVOLUTION, from
-    which the registry derives their maps and reindexes them.  rho only
-    reverses indices of H and M, so only rsh and rsh* pay for psi; this order
-    fixes the order terms print in."""
+    """Install the eight Schur-like bases into the conversion registry: sh
+    reads off the shin K (strip chains) and K^-1 (Pieri elimination), rsh,
+    fsh and bsh are its images under INVOLUTION, from which the registry
+    derives their maps and reindexes them, and each starred basis, the dual
+    of its partner, reads its partner's matrices transposed, with its image
+    kept for the reindex.  rho only reverses indices of H and M, so only rsh
+    pays for psi; this order fixes the order terms print in."""
     if "sh" in core.bases():
         return
 
@@ -92,15 +95,20 @@ def register_bases() -> None:
     lines = partial(core.MatrixLines, indices=comps.compositions)
     core.register_basis("sh", NSYM, lines(_kappa_inverse, column=True),
                         lines(shin_kappa, column=True))
-    core.register_basis("sh*", QSYM, lines(shin_kappa, column=False),
-                        lines(_kappa_inverse, column=False))
     for family, name in INVOLUTION.items():
-        if name is None:
-            continue
-        for tokens in (NSYM_TOKEN, QSYM_TOKEN):
-            # omega = rho psi: as omega(sh), bsh would pay for psi again, as rsh does
-            image = ("rho", tokens["row_strict"]) if name == "omega" else (name, tokens["shin"])
-            core.register_basis(tokens[family], core.algebra_of(image[1]), image=image)
+        tok, star = NSYM_TOKEN[family], QSYM_TOKEN[family]
+        # omega = rho psi: as omega(sh), bsh would pay for psi again, as rsh does
+        name, source = ("rho", "row_strict") if name == "omega" else (name, "shin")
+        if name:
+            core.register_basis(tok, NSYM, image=(name, NSYM_TOKEN[source]))
+        # <X_a, X*_b> = [a = b], so T(X* -> M) = T(H -> X)^t, T(M -> X*) = T(X -> H)^t
+        core.register_basis(star, QSYM, lines(partial(_rows, "H", tok), column=True),
+                            lines(partial(_rows, tok, "H"), column=True),
+                            image=(name, QSYM_TOKEN[source]) if name else None)
+
+
+def _rows(source: str, target: str, n: int) -> tuple:
+    return core.transition_matrix(source, target, n).rows
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +134,13 @@ def beth(m: int, x: Element) -> Element:
         raise ValueError("beth index must be a positive integer")
     if x.algebra != NSYM:
         raise ValueError("beth acts on NSym")
-    out = {}
 
-    def add(comp, c):
-        key = ("H", comp)
-        out[key] = out.get(key, 0) + c
-
-    for comp, c in x.canonical_dict().items():
+    def line(comp):
         if not comp:
-            add((m,), c)
-        else:
-            add((m,) + comp, c)
-            add((comp[0], m) + comp[1:], -c)
-    return Element._of(NSYM, out)
+            return ((("H", (m,)), 1),)
+        return ((("H", (m,) + comp), 1), (("H", (comp[0], m) + comp[1:]), -1))
+
+    return Element._of(NSYM, core.linear(x.canonical_dict(), line))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +401,8 @@ def forgetful_chi(x: Element) -> SymElement:
     """The projection of NSym onto Sym sending H_alpha to h_{sort(alpha)}."""
     if x.algebra != NSYM:
         raise ValueError("the forgetful map acts on NSym")
-    out = {}
-    for comp, c in x.canonical_dict().items():
-        lam = comps.sort_to_partition(comp)
-        out[lam] = out.get(lam, 0) + c
-    return SymElement._of("h", out)
+    return SymElement._of("h", core.linear(
+        x.canonical_dict(), lambda comp: ((comps.sort_to_partition(comp), 1),)))
 
 
 def schur_detect(f: Element):

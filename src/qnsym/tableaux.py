@@ -167,13 +167,6 @@ class Tableau(NamedTuple):
         }
 
 
-def make_tableau(family, shape, rows) -> Tableau:
-    t = Tableau(_check_family(family), shape, tuple(tuple(r) for r in rows))
-    if not validate(t):
-        raise ValueError(f"not a valid {family} tableau: {rows} on {shape}")
-    return t
-
-
 def _column_predecessors(shape: Shape) -> dict:
     """Map each cell to the previous cell in its column sequence, if any."""
     pred, last = {}, {}
@@ -337,7 +330,9 @@ def kappa_matrix(family: str, n: int) -> tuple:
 def is_shin_strip(alpha, beta) -> bool:
     """Whether beta/alpha is a strip extension: each row of alpha may grow,
     at most one new last row appears, and once row i has grown no lower row
-    of beta may reach past the old length alpha_i (the overhang rule)."""
+    of beta may reach past the old length alpha_i (the overhang rule).  The
+    definition, which `strip_extensions` generates; the tests check the one
+    against the other."""
     alpha, beta = tuple(alpha), tuple(beta)
     k, m = len(alpha), len(beta)
     if not (k <= m <= k + 1):
@@ -446,10 +441,6 @@ def chain_matrix(indices, keep=None) -> tuple:
     return tuple(tuple(col.get(alpha, 0) for col in columns) for alpha in indices)
 
 
-def poset_covers(alpha) -> tuple:
-    return strip_extensions(alpha, 1)
-
-
 def maximal_chains(beta, alpha) -> tuple:
     """All saturated chains beta = g0 < g1 < ... < gm = alpha, one box a step,
     in lexicographic order.  A step goes only to shapes that reach alpha
@@ -478,7 +469,9 @@ def maximal_chains(beta, alpha) -> tuple:
 
 
 def chain_to_tableau(chain) -> Tableau:
-    """Standard skew shin tableau recording at which step each box appeared."""
+    """Standard skew shin tableau recording at which step each box appeared:
+    the bijection of maximal chains with standard skew shin tableaux, which
+    the tests check and an exhaustive suite of the skew theorems can use."""
     chain = [tuple(g) for g in chain]
     beta, alpha = chain[0], chain[-1]
     filling = {}

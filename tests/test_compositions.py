@@ -57,7 +57,6 @@ def near_concat(alpha, beta):
 
 
 def test_concat_near_concat():
-    assert comps.concat((1, 2), (3,)) == (1, 2, 3)
     assert near_concat((1, 2, 3, 1), (3, 2)) == (1, 2, 3, 4, 2)
     assert near_concat((2,), (1,)) == (3,)
 

@@ -109,7 +109,7 @@ def test_ribbon_product_rule():
     for a in ((1,), (2, 1), (1, 2)):
         for b in ((1,), (3,), (1, 1)):
             lhs = multiply(term("R", a), term("R", b))
-            rhs = term("R", comps.concat(a, b)) + term("R", near_concat(a, b))
+            rhs = term("R", a + b) + term("R", near_concat(a, b))
             assert lhs == rhs
     assert multiply(one("NSym"), term("R", (2, 1))) == term("R", (2, 1))
 
@@ -410,6 +410,21 @@ def test_whole_row_psi_is_the_product_with_the_closed_forms():
             assert core._psi(rows, on_h) == want, (n, on_h)
     with pytest.raises(ArithmeticError, match="64-bit"):
         core._psi(((1 << 62, 0), (0, 0)), True)
+
+
+def test_packed_product_is_the_matrix_product_and_refuses_past_64_bits():
+    """`core._product` against the schoolbook product, on entries whose
+    sums come within one of the signed 64-bit fields' limit; a factor pair
+    whose row l1 norm times largest entry reaches 2^63 is refused."""
+    top = (1 << 62) - 1
+    left = ((1, 1, 0), (0, -1, 1), (2, 0, 0))
+    for sign in (1, -1):
+        right = ((sign * top, 3, 0), (sign * top, -5, 7), (0, 1, -sign * top))
+        want = tuple(tuple(sum(left[i][k] * right[k][j] for k in range(3)) for j in range(3))
+                     for i in range(3))
+        assert core._product(left, right) == want
+    with pytest.raises(ArithmeticError, match="64-bit"):
+        core._product(left, ((1 << 62, 0, 0), (0, 0, 0), (0, 0, 0)))
 
 
 def test_str_and_json_roundtrip():

@@ -1005,9 +1005,10 @@ def _transported(name, source):
 
 
 def test_the_registry_derives_the_maps_of_the_transported_bases():
-    """Every transported basis is registered by its image alone, and the
-    maps the registry derives equal the hand-built ones on every index
-    through degree 8."""
+    """Every transported basis is registered as its image, and its maps
+    (derived by the registry, or read off the partner's matrices for a
+    starred basis) equal the hand-built ones on every index through
+    degree 8."""
     for tok, name, source in TRANSPORTED:
         assert core._PARTNER[name][source] == tok and core._PARTNER[name][tok] == source
         info = core._REGISTRY[tok]
@@ -1035,6 +1036,29 @@ def test_transition_matrices_match_the_term_by_term_rows():
                         x = term(pair[0], a).convert(pair[1])
                         line = {c: v for (_, c), v in x.terms.items()}
                     assert row == tuple(line.get(c, 0) for c in cs), (pair, a)
+
+
+def _term_by_term_matrix(source, target, n):
+    """The route the one product replaced, kept as the reference: each row
+    is one basis element converted through the canonical basis."""
+    cs = comps.compositions(n)
+    return tuple(tuple(term(source, a).convert(target).coefficient(target, c) for c in cs)
+                 for a in cs)
+
+
+def test_transition_matrices_between_two_bases_are_the_product_through_the_canonical_one():
+    """All 169 ordered pairs of bases, degrees 0-5: T(s -> t) is the product
+    T(s -> canonical) T(canonical -> t), equal to the term-by-term rows, and
+    a pair across the two algebras is refused."""
+    for source in core.bases():
+        for target in core.bases():
+            for n in range(6):
+                if core.algebra_of(source) != core.algebra_of(target):
+                    with pytest.raises(ValueError, match="one algebra"):
+                        core.transition_matrix(source, target, n)
+                    continue
+                assert core.transition_matrix(source, target, n).rows == \
+                    _term_by_term_matrix(source, target, n), (source, target, n)
 
 
 def test_tableau_suite_reports_psi_without_its_sign(monkeypatch):
@@ -1073,6 +1097,35 @@ def test_omega_carries_what_rho_of_psi_carries(monkeypatch):
         monkeypatch.undo()
         core.transition_matrix.cache_clear()
     assert got == want
+
+
+def test_the_starred_bases_read_their_partners_matrices_transposed(monkeypatch):
+    """Each starred basis is the dual of its partner, T(X* -> M) = T(H -> X)^t
+    and T(M -> X*) = T(X -> H)^t, so building all eight bases both ways runs
+    psi twice a degree, for T(rsh -> H) and T(H -> rsh)."""
+    calls = []
+    true_psi = core._psi
+
+    def counted(rows, on_h):
+        calls.append(on_h)
+        return true_psi(rows, on_h)
+
+    monkeypatch.setattr(core, "_psi", counted)
+    core.transition_matrix.cache_clear()
+    try:
+        for n in range(8):
+            calls.clear()
+            for tok in (*sl.NSYM_TOKEN.values(), *sl.QSYM_TOKEN.values()):
+                can = core.CANONICAL[core.algebra_of(tok)]
+                forth, back = core.transition_matrix(tok, can, n), core.transition_matrix(can, tok, n)
+                if tok in sl.QSYM_TOKEN.values():
+                    partner = tok[:-1]
+                    assert forth.rows == tuple(zip(*core.transition_matrix("H", partner, n).rows))
+                    assert back.rows == tuple(zip(*core.transition_matrix(partner, "H", n).rows))
+            assert len(calls) == 2, (n, calls)
+    finally:
+        monkeypatch.undo()
+        core.transition_matrix.cache_clear()
 
 
 def test_e_keeps_its_closed_form_maps():
@@ -1186,6 +1239,187 @@ def test_two_pass_tensor_conversion_matches_the_one_pass_loop():
                     if sum(a) <= 3:
                         assert got.canonical_dict() == _one_pass_canonical(got), \
                             (tok, a, left, right)
+
+
+# The hand-written loops that `core.linear` and `core._leg` replaced, kept as
+# the reference bodies of the kernel's differential test.
+
+def _loop_canonical_dict(x):
+    target = core.CANONICAL[x.algebra]
+    out = {}
+    for (basis, comp), coeff in x.terms.items():
+        if basis == target:
+            out[comp] = out.get(comp, 0) + coeff
+        else:
+            for c2, v in core._expand(basis, comp):
+                out[c2] = out.get(c2, 0) + coeff * v
+    return {c: v for c, v in out.items() if v}
+
+
+def _loop_convert(canonical_terms, algebra, target):
+    canonical = core.CANONICAL[algebra]
+    if target == canonical:
+        return {(canonical, c): v for c, v in canonical_terms.items()}
+    terms = {}
+    for comp, coeff in canonical_terms.items():
+        for c2, v in core._unexpand(target, comp):
+            k = (target, c2)
+            terms[k] = terms.get(k, 0) + coeff * v
+    return {k: v for k, v in terms.items() if v}
+
+
+def _loop_involute(x, name, signed, basis):
+    out = {}
+    for comp, coeff in _loop_canonical_dict(x).items():
+        if signed and sum(comp) % 2:
+            coeff = -coeff
+        for c, v in core._image(x.algebra, name, comp):
+            out[c] = out.get(c, 0) + coeff * v
+    return _loop_convert({c: v for c, v in out.items() if v}, x.algebra, basis)
+
+
+def _loop_coproduct(x):
+    canonical = core.CANONICAL[x.algebra]
+    out = {}
+    for comp, coeff in _loop_canonical_dict(x).items():
+        if x.algebra == core.NSYM:
+            splits = core._coproduct_H(comp)
+        else:
+            splits = tuple(((comp[:i], comp[i:]), 1) for i in range(len(comp) + 1))
+        for (l, r), v in splits:
+            k = ((canonical, l), (canonical, r))
+            out[k] = out.get(k, 0) + coeff * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _loop_expand_leg(terms, side, canonical):
+    out = {}
+    for key, coeff in terms.items():
+        if not coeff:
+            continue
+        basis, comp = key[side]
+        for leg, v in (((comp, 1),) if basis == canonical else core._expand(basis, comp)):
+            k = (leg, key[1]) if side == 0 else (key[0], leg)
+            out[k] = out.get(k, 0) + coeff * v
+    return out
+
+
+def _loop_unexpand_leg(terms, side, basis):
+    out = {}
+    for key, coeff in terms.items():
+        if not coeff:
+            continue
+        for leg, v in core._unexpand(basis, key[side]):
+            k = (leg, key[1]) if side == 0 else (key[0], leg)
+            out[k] = out.get(k, 0) + coeff * v
+    return out
+
+
+def _loop_tensor_canonical(t):
+    canonical = core.CANONICAL[t.algebra]
+    both = _loop_expand_leg(_loop_expand_leg(dict(t.terms), 0, canonical), 1, canonical)
+    return {k: v for k, v in both.items() if v}
+
+
+def _loop_tensor_convert(t, left_basis, right_basis):
+    canonical = core.CANONICAL[t.algebra]
+    terms = _loop_tensor_canonical(t)
+    for side, basis in ((0, left_basis), (1, right_basis)):
+        if basis != canonical:
+            terms = _loop_unexpand_leg(terms, side, basis)
+    return {((left_basis, d1), (right_basis, d2)): v
+            for (d1, d2), v in terms.items() if v}
+
+
+def _loop_beth(m, x):
+    out = {}
+
+    def add(comp, c):
+        key = ("H", comp)
+        out[key] = out.get(key, 0) + c
+
+    for comp, c in x.canonical_dict().items():
+        if not comp:
+            add((m,), c)
+        else:
+            add((m,) + comp, c)
+            add((comp[0], m) + comp[1:], -c)
+    return {k: v for k, v in out.items() if v}
+
+
+def _loop_chi(x):
+    out = {}
+    for comp, c in x.canonical_dict().items():
+        lam = comps.sort_to_partition(comp)
+        out[lam] = out.get(lam, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _loop_apply(lines, coeffs):
+    out = {}
+    for key, c in coeffs.items():
+        for k, v in lines(key).items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: c for k, c in out.items() if c}
+
+
+def _cancelling():
+    """R[1,1] + R[2] - H[1,1], which is 0 in three nonzero terms."""
+    return term("R", (1, 1)) + term("R", (2,)) - term("H", (1, 1))
+
+
+def test_the_linear_kernel_matches_the_loops_it_replaced():
+    """Every route through `core.linear` or `core._leg` against the loop it
+    replaced, on every basis element through degree 5 and a sum that
+    cancels: the canonical coefficients, every conversion, the canonical
+    involution route (signed too), the coproduct and its conversion into the
+    element's basis, beth, the forgetful map, and the Sym bridge's lines."""
+    elements = [term(tok, a) for tok in core.bases() for a in comps_upto(5)] + [_cancelling()]
+    for x in elements:
+        canonical = core.CANONICAL[x.algebra]
+        tok = x.support_basis() or canonical
+        assert x.canonical_dict() == _loop_canonical_dict(x), str(x)
+        for target in core.bases(x.algebra):
+            assert dict(x.convert(target).terms) == _loop_convert(
+                _loop_canonical_dict(x), x.algebra, target), (str(x), target)
+        for name in INVOLUTIONS:
+            for signed in (False, True):
+                assert dict(core._involute(x, name, signed, tok).terms) == _loop_involute(
+                    x, name, signed, tok), (str(x), name, signed)
+        delta = coproduct(x)
+        assert dict(delta.terms) == _loop_coproduct(x), str(x)
+        converted = delta.convert(tok, tok)
+        assert dict(converted.terms) == _loop_tensor_convert(delta, tok, tok), str(x)
+        assert converted.canonical_dict() == _loop_tensor_canonical(converted), str(x)
+        if x.algebra == core.NSYM:
+            for m in (1, 2):
+                assert dict(sl.beth(m, x).terms) == _loop_beth(m, x), (m, str(x))
+            assert dict(sl.forgetful_chi(x).coeffs) == _loop_chi(x), str(x)
+    for n in range(7):
+        lams = comps.partitions(n)
+        coeffs = {lam: (-1) ** i * (i + 1) for i, lam in enumerate(lams)}
+        for matrix in (sl.kostka_matrix, sl._kostka_inverse):
+            for column in (False, True):
+                lines = core.MatrixLines(matrix, comps.partitions, column)
+                assert lines.apply(coeffs) == _loop_apply(lines, coeffs), (n, column)
+
+
+def test_the_linear_kernel_drops_what_cancels():
+    x = _cancelling()
+    assert len(x.terms) == 3 and x.canonical_dict() == {}
+    assert x == core.zero(core.NSYM) and not (x - x).terms
+    for basis in core.bases(core.NSYM):
+        assert x.convert(basis).is_zero(), basis
+    assert coproduct(x).is_zero()
+    assert sl.beth(2, x).is_zero() and sl.forgetful_chi(x).is_zero()
+    # a tensor whose left legs cancel once expanded, beside one that stays
+    kept = core.tensor_term("sh", (2,), "H", (1,))
+    t = kept + sum((core.tensor_term(b, a, "E", (1,), c)
+                    for (b, a), c in x.terms.items()), core.TensorElement(core.NSYM))
+    assert 0 not in t.canonical_dict().values()
+    assert t.canonical_dict() == kept.canonical_dict()
+    assert core.linear({"a": 1, "b": 1}, lambda k: (("x", 1), ("y", 1 if k == "a" else -1))) \
+        == {"x": 2}
 
 
 def test_to_qsym_writes_each_rearrangement_once():

@@ -154,7 +154,8 @@ def test_empty_shape():
 # --- descents, standard sets, standardization --------------------------------
 
 def test_descent_composition_examples():
-    t = tab.make_tableau("shin", tab.straight((1, 2)), ((1,), (2, 3)))
+    t = tab.Tableau("shin", tab.straight((1, 2)), ((1,), (2, 3)))
+    assert tab.validate(t)
     assert tab.descent_composition(t) == (1, 2)
     u = tab.Tableau("row_strict", tab.straight((1, 2)), ((1,), (2, 3)))
     assert tab.descent_composition(u) == (2, 1)  # complement of (1,2)
@@ -184,7 +185,8 @@ def test_standard_sets_coincide_in_pairs():
 # --- flip --------------------------------------------------------------------
 
 def test_flip_examples():
-    t = tab.make_tableau("shin", tab.straight((3, 2)), ((1, 3, 4), (2, 5)))
+    t = tab.Tableau("shin", tab.straight((3, 2)), ((1, 3, 4), (2, 5)))
+    assert tab.validate(t)
     f = tab.flip(t)
     assert f.shape == tab.straight((2, 3))
     assert f.rows == ((4, 1), (5, 3, 2))
@@ -241,8 +243,9 @@ def test_strip_edge_cases():
 
 
 def test_poset_covers():
-    assert tab.poset_covers((1, 2)) == ((1, 2, 1), (1, 3))
-    assert tab.poset_covers(()) == ((1,),)
+    # the covers of the box-adding order are the strips of one box
+    assert tab.strip_extensions((1, 2), 1) == ((1, 2, 1), (1, 3))
+    assert tab.strip_extensions((), 1) == ((1,),)
 
 
 def test_chain_to_tableau_example():
@@ -310,7 +313,7 @@ def _chains_depth_first(beta, alpha):
         if chain[-1] == alpha:
             chains.append(tuple(chain))
             return
-        for nxt in tab.poset_covers(chain[-1]):
+        for nxt in tab.strip_extensions(chain[-1], 1):
             if comps.dominated(nxt, alpha):
                 chain.append(nxt)
                 grow(chain)
