@@ -240,6 +240,8 @@ def cmd_schur_detect(args):
 def _shape_from_args(args):
     outer = parse_composition(args.shape)
     if args.inner is None:
+        if args.bottom:
+            raise CLIError(2, "--bottom needs --inner")
         return tab.straight(outer)
     inner = parse_composition(args.inner)
     if args.bottom:
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape")
     p.add_argument("--inner", help="inner shape for a skew diagram")
     p.add_argument("--bottom", action="store_true",
-                   help="align the inner shape with the bottom rows (skew-II)")
+                   help="align the inner shape with the bottom rows (skew-II); needs --inner")
     p.add_argument("--type", help="type (weight) composition")
     p.add_argument("--standard", action="store_true")
     p = add("strips", cmd_strips, "alpha", help="strip extensions of a composition")

@@ -24,10 +24,12 @@ fundamental basis F each involution is a pure reindex: psi complements the
 index, rho reverses it and omega transposes it.  A basis registered as the
 image of another (E = psi(H), and the Schur-like bases transported from
 shin, the starred ones with maps that read their partners' matrices
-transposed) is reached from it by reindexing alone.  So an involution of an
-element of R, F or a registered image into its partner basis, and the
-antipode, skip the canonical round trip; mixed supports and the other bases
-take it.  A basis registered by its image alone reads its maps off the rows
+transposed) is reached from it by reindexing alone.  So an involution or
+the antipode of an element of R, F or a registered image is a reindex into
+the partner basis; into any other basis but the canonical one it then reads
+one memoised partner-to-basis line per index (`_across`).  Mixed supports
+and the other bases take the canonical route.  A basis registered by its
+image alone reads its maps off the rows
 of `transition_matrix`, the one dense builder, which carries the source's
 matrices a whole degree at a time by the involution's matrix on the
 canonical basis: rho reverses indices, and psi is a sign diagonal times the
@@ -180,8 +182,8 @@ def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=N
         name, source = image
         _pair(name, source, token, _FIX[name])
         _close_partners()
-    _expand.cache_clear()
-    _unexpand.cache_clear()
+    for cached in (_expand, _unexpand, _across):
+        cached.cache_clear()
 
 
 def bases(algebra=None) -> tuple:
@@ -211,6 +213,15 @@ def _expand(basis: str, comp: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _unexpand(basis: str, comp: tuple) -> tuple:
     return tuple(sorted(_REGISTRY[basis].unexpand(comp).items()))
+
+
+@lru_cache(maxsize=None)
+def _across(source: str, target: str, comp: tuple) -> tuple:
+    """The line of source_comp in `target`, neither basis canonical: its
+    canonical line unexpanded once.  Only lines that are read are kept; the
+    whole-degree product T(source -> target) would cost more than the
+    conversion it saves."""
+    return tuple(sorted(linear(dict(_expand(source, comp)), partial(_unexpand, target)).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +524,17 @@ def multiply(x: Element, y: Element, basis=None) -> Element:
         raise ValueError("cannot multiply NSym and QSym elements")
     algebra = x.algebra
     out = {}
+    get = out.get
+    right = y.canonical_dict().items()
     for a, ca in x.canonical_dict().items():
-        for b, cb in y.canonical_dict().items():
-            for g, v in _canonical_product(algebra, a, b):
-                out[g] = out.get(g, 0) + ca * cb * v
+        if algebra == NSYM:  # H_a H_b = H_(a b)
+            for b, cb in right:
+                g = a + b
+                out[g] = get(g, 0) + ca * cb
+        else:
+            for b, cb in right:
+                for g, v in quasi_shuffle(a, b):
+                    out[g] = get(g, 0) + ca * cb * v
     canonical = CANONICAL[algebra]
     result = Element._of(algebra, {(canonical, c): v for c, v in out.items()})
     target = basis or x.support_basis() or canonical
@@ -577,8 +595,12 @@ class TensorElement(_Combination):
 
     def canonical_dict(self) -> dict:
         """Coefficients with both legs canonical: {(compL, compR): int}."""
-        line = partial(_expanded, CANONICAL[self._space])
-        return _leg(_leg(self._terms, 0, line), 1, line)
+        canonical = CANONICAL[self._space]
+        for (left, _), (right, _) in self._terms:
+            if left != canonical or right != canonical:
+                line = partial(_expanded, canonical)
+                return _leg(_leg(self._terms, 0, line), 1, line)
+        return {(l, r): c for ((_, l), (_, r)), c in self._terms.items()}
 
     def convert(self, left_basis: str, right_basis: str) -> "TensorElement":
         """Both legs in the given bases: the left leg of every term first,
@@ -633,6 +655,7 @@ def _coproduct_H(comp: tuple) -> tuple:
     return tuple(sorted(pieces.items()))
 
 
+@lru_cache(maxsize=None)
 def _deconcatenations(comp: tuple) -> tuple:
     """Deltas of M_comp: it deconcatenates."""
     return tuple(((comp[:i], comp[i:]), 1) for i in range(len(comp) + 1))
@@ -734,26 +757,23 @@ def _involute(x: Element, name: str, signed: bool, basis: str) -> Element:
     return Element._of(x.algebra, {(canonical, c): v for c, v in out.items()}).convert(basis)
 
 
-def _reindexed(x: Element, name: str, signed: bool, support: str) -> Element:
-    """x, supported on one basis X that `name` reindexes, under `name` (with
-    the sign (-1)^degree if `signed`): name(X_a) = partner_f(a), f the index
-    map of the pair."""
-    partner, fix = _PARTNER[name][support], _INDEX_MAP[name][support]
-    return Element._of(x.algebra, {
-        (partner, fix(comp)): -coeff if signed and sum(comp) % 2 else coeff
-        for (_, comp), coeff in x._terms.items()})
-
-
 def _apply(name: str, x: Element, signed: bool, basis: str) -> Element:
     """x under the involution `name` (with the sign (-1)^degree if `signed`)
-    in `basis`.  On a basis that `name` reindexes it is the reindex into the
-    partner, converted unless `basis` is the partner; otherwise it takes the
-    canonical route."""
+    in `basis`.  On a basis X that `name` reindexes it is the reindex
+    name(X_a) = P_f(a) into the partner P, f the index map of the pair, read
+    in `basis` through the memoised lines `_across` when neither `basis`
+    nor P is canonical, and converted otherwise unless `basis` is P; any
+    other x takes the canonical route."""
     support = x.support_basis()
     if support not in _PARTNER[name]:
         return _involute(x, name, signed, basis)
-    image = _reindexed(x, name, signed, support)
-    return image if basis == _PARTNER[name][support] else image.convert(basis)
+    partner, fix = _PARTNER[name][support], _INDEX_MAP[name][support]
+    coeffs = {fix(comp): -coeff if signed and sum(comp) % 2 else coeff
+              for (_, comp), coeff in x._terms.items()}
+    if CANONICAL[x.algebra] not in (basis, partner) and basis != partner:
+        coeffs, partner = linear(coeffs, partial(_across, partner, basis)), basis
+    image = Element._of(x.algebra, {(partner, c): v for c, v in coeffs.items()})
+    return image if basis == partner else image.convert(basis)
 
 
 def involution(name: str, x: Element, basis=None) -> Element:

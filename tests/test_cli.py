@@ -233,6 +233,10 @@ def test_usage_errors_exit_2(capsys):
     (["transition-matrix", "X", "H", "2"], "unknown basis token 'X'"),
     (["transition-matrix", "H", "M", "2"],
      "source and target bases live in different algebras"),
+    (["tableaux", "enumerate", "--family", "shin", "2,1", "--bottom", "--standard"],
+     "--bottom needs --inner"),
+    (["tableaux", "count", "--family", "shin", "2,1", "--bottom", "--standard"],
+     "--bottom needs --inner"),
 ])
 def test_every_usage_error_branch_exits_2_with_one_error_line(capsys, argv, message):
     assert cli.run(argv) == 2

@@ -788,7 +788,8 @@ def test_h_and_r_expand_by_tableau_counts():
 # --- one source of truth: shin plus transport -------------------------------------
 
 def _clear_conversion_caches():
-    for cached in (sl._kappa_inverse, core._expand, core._unexpand, core.transition_matrix):
+    for cached in (sl._kappa_inverse, core._expand, core._unexpand, core._across,
+                   core.transition_matrix):
         cached.cache_clear()
 
 
@@ -1230,6 +1231,8 @@ def test_two_pass_tensor_conversion_matches_the_one_pass_loop():
         pool = core.bases(core.algebra_of(tok))
         for a in comps_upto(5):
             delta = coproduct(term(tok, a))
+            # every leg canonical: canonical_dict passes the terms through
+            assert delta.canonical_dict() == _loop_tensor_canonical(delta), (tok, a)
             for left in pool:
                 for right in pool:
                     got = delta.convert(left, right)
@@ -1276,6 +1279,32 @@ def _loop_involute(x, name, signed, basis):
         for c, v in core._image(x.algebra, name, comp):
             out[c] = out.get(c, 0) + coeff * v
     return _loop_convert({c: v for c, v in out.items() if v}, x.algebra, basis)
+
+
+def _loop_involution_route(name, x, signed, basis):
+    """The earlier `core._apply`: on a basis that `name` reindexes, the
+    reindex into the partner, then `Element.convert` unless `basis` is the
+    partner; any other x through the canonical route."""
+    support = x.support_basis()
+    if support not in core._PARTNER[name]:
+        return core._involute(x, name, signed, basis)
+    partner, fix = core._PARTNER[name][support], core._INDEX_MAP[name][support]
+    image = core.Element(x.algebra, {(partner, fix(comp)): -c if signed and sum(comp) % 2 else c
+                                     for (_, comp), c in x.terms.items()})
+    return image if basis == partner else image.convert(basis)
+
+
+def _loop_multiply(x, y, basis=None):
+    """The earlier `multiply`: `_canonical_product` per pair of canonical
+    terms, y's canonical coefficients read once per term of x."""
+    out = {}
+    for a, ca in x.canonical_dict().items():
+        for b, cb in y.canonical_dict().items():
+            for g, v in core._canonical_product(x.algebra, a, b):
+                out[g] = out.get(g, 0) + ca * cb * v
+    canonical = core.CANONICAL[x.algebra]
+    result = core.Element(x.algebra, {(canonical, g): v for g, v in out.items()})
+    return result.convert(basis or x.support_basis() or canonical)
 
 
 def _loop_coproduct(x):
@@ -1373,8 +1402,15 @@ def test_the_linear_kernel_matches_the_loops_it_replaced():
     replaced, on every basis element through degree 5 and a sum that
     cancels: the canonical coefficients, every conversion, the canonical
     involution route (signed too), the coproduct and its conversion into the
-    element's basis, beth, the forgetful map, and the Sym bridge's lines."""
+    element's basis, beth, the forgetful map, and the Sym bridge's lines.
+    Beside them, the routes that stopped converting through the canonical
+    basis: products (into every basis, through degree 3), and the
+    involutions and the antipode of every basis element through degree 6
+    into every basis, against the reindex-then-convert route."""
     elements = [term(tok, a) for tok in core.bases() for a in comps_upto(5)] + [_cancelling()]
+    factors = {alg: [term(b, (1, 2)) - 2 * term(b, (1,)) for b in core.bases(alg)]
+               + [_cancelling() if alg == core.NSYM else term("M", (2,)) - term("F", (1, 1))]
+               for alg in (core.NSYM, core.QSYM)}
     for x in elements:
         canonical = core.CANONICAL[x.algebra]
         tok = x.support_basis() or canonical
@@ -1382,6 +1418,9 @@ def test_the_linear_kernel_matches_the_loops_it_replaced():
         for target in core.bases(x.algebra):
             assert dict(x.convert(target).terms) == _loop_convert(
                 _loop_canonical_dict(x), x.algebra, target), (str(x), target)
+            for y in factors[x.algebra] if max(x.degrees()) <= 3 else ():
+                assert dict(multiply(x, y, target).terms) == dict(
+                    _loop_multiply(x, y, target).terms), (str(x), str(y), target)
         for name in INVOLUTIONS:
             for signed in (False, True):
                 assert dict(core._involute(x, name, signed, tok).terms) == _loop_involute(
@@ -1395,6 +1434,14 @@ def test_the_linear_kernel_matches_the_loops_it_replaced():
             for m in (1, 2):
                 assert dict(sl.beth(m, x).terms) == _loop_beth(m, x), (m, str(x))
             assert dict(sl.forgetful_chi(x).coeffs) == _loop_chi(x), str(x)
+    for x in [term(tok, a) for tok in core.bases() for a in comps_upto(6)] + [_cancelling()]:
+        for basis in (None,) + core.bases(x.algebra):
+            default = basis or x.support_basis() or core.CANONICAL[x.algebra]
+            assert dict(antipode(x, basis).terms) == dict(
+                _loop_involution_route("omega", x, True, default).terms), (str(x), basis)
+            for name in INVOLUTIONS if basis else ():
+                assert dict(involution(name, x, basis).terms) == dict(
+                    _loop_involution_route(name, x, False, basis).terms), (str(x), name, basis)
     for n in range(7):
         lams = comps.partitions(n)
         coeffs = {lam: (-1) ** i * (i + 1) for i, lam in enumerate(lams)}
@@ -1683,7 +1730,7 @@ def test_production_inverts_no_matrix(monkeypatch):
         raise AssertionError("a matrix was inverted in production")
 
     caches = (sl._kappa_inverse, sl._kostka_inverse, core._expand, core._unexpand,
-              core.transition_matrix)
+              core._across, core.transition_matrix)
     monkeypatch.setattr(core, "exact_inverse", refuse)
     for cached in caches:
         cached.cache_clear()
@@ -1702,6 +1749,25 @@ def test_production_inverts_no_matrix(monkeypatch):
         monkeypatch.undo()
         for cached in caches:
             cached.cache_clear()
+
+
+def test_the_antipode_builds_no_product_of_transition_matrices(monkeypatch):
+    """S(X_a) reindexes into its omega partner P and reads one line of P in X
+    per index (`core._across`); a whole-degree T(P -> X) would hold a
+    product matrix to answer one term."""
+    def refuse(*args):
+        raise AssertionError("a product of transition matrices was built")
+
+    monkeypatch.setattr(core, "_product", refuse)
+    _clear_conversion_caches()
+    try:
+        for tok in tuple(sl.NSYM_TOKEN.values()) + tuple(sl.QSYM_TOKEN.values()):
+            x = term(tok, (2, 1, 3, 1, 2))
+            assert dict(antipode(x).terms) == dict(
+                _loop_involution_route("omega", x, True, tok).terms), tok
+    finally:
+        monkeypatch.undo()
+        _clear_conversion_caches()
 
 
 def test_sym_inverse_reads_no_kostka_matrix(monkeypatch):
