@@ -340,12 +340,13 @@ class SymElement(core._Combination):
         return self.to_basis("m")._terms
 
     def _product(self, other):
-        """Multiply inside QSym (Sym is a subring) and read the product back."""
-        product = multiply(self.to_qsym(), other.to_qsym())
-        detected = schur_detect(product)
-        if detected is None:  # pragma: no cover - products of symmetric f stay symmetric
-            raise ArithmeticError("product left the symmetric subspace")
-        return detected
+        """The product, through QSym (Sym is a subring).  It is symmetric, and
+        m_lam sums M over lam's rearrangements, so its m_lam coefficient is its
+        M_lam one: read at the partitions of each degree present, not checked."""
+        md = multiply(self.to_qsym(), other.to_qsym()).canonical_dict()
+        degrees = {sum(alpha) for alpha in md}
+        m = {lam: md[lam] for n in degrees for lam in comps.partitions(n) if lam in md}
+        return SymElement._of("m", m).to_basis("s")
 
     def to_basis(self, target: str) -> "SymElement":
         """Convert through s: source -> s -> target."""
@@ -409,33 +410,27 @@ def schur_detect(f: Element):
     """Return the s-expansion of f if it is symmetric, else None.
 
     f is symmetric when its M-coefficients are constant on sort classes,
-    including the rearrangements that do not appear explicitly.  Every
-    M-coefficient must equal that of its class's partition, and each class
-    present must have all `comps.rearrangement_count(lam)` members; the
-    count decides the second test without listing a single rearrangement.
+    rearrangements absent from f included.  One pass sorts each index once,
+    stopping at a coefficient unlike its class's; then each class must have
+    all `comps.rearrangement_count(lam)` members, counted, not listed.
     """
     if f.algebra != QSYM:
         raise ValueError("schur_detect acts on QSym")
-    md = f.canonical_dict()
-    by_partition = {}
-    for comp, c in md.items():
-        lam = comps.sort_to_partition(comp)
-        if comp == lam:
-            by_partition[lam] = c
-    members = {}
-    for comp, c in md.items():
-        lam = comps.sort_to_partition(comp)
-        if by_partition.get(lam, 0) != c:
+    classes = {}
+    for comp, c in f.canonical_dict().items():
+        seen = classes.setdefault(comps.sort_to_partition(comp), [c, 0])
+        if seen[0] != c:
             return None
-        members[lam] = members.get(lam, 0) + 1
-    if any(members[lam] != comps.rearrangement_count(lam) for lam in by_partition):
+        seen[1] += 1
+    if any(k != comps.rearrangement_count(lam) for lam, (_, k) in classes.items()):
         return None
-    return SymElement._of("m", by_partition).to_basis("s")
+    return SymElement._of("m", {lam: c for lam, (c, _) in classes.items()}).to_basis("s")
 
 
 def littlewood_richardson(mu, nu) -> dict:
     """LR coefficients: the Schur terms of s_mu * s_nu, which multiplies
-    through the QSym embedding (`SymElement._product`)."""
+    through the QSym embedding and reads the m-coefficients off the
+    partition indices of the product (`SymElement._product`)."""
     return dict((SymElement("s", {tuple(mu): 1}) * SymElement("s", {tuple(nu): 1})).coeffs)
 
 

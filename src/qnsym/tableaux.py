@@ -318,7 +318,10 @@ def kappa_matrix(family: str, n: int) -> tuple:
     """K[i][j] = #tableaux of shape C[i] and type C[j], C = compositions(n).
 
     The shin matrix is read off strip chains (`chain_matrix`); the other
-    families are counted tableau by tableau (`count_matrix`).
+    families are counted tableau by tableau (`count_matrix`).  Only shin
+    builds a basis, but `verify tableaux` and the tests read the other
+    families' counts through this cached, budget-checked entry, and
+    `perfbench`'s self-test replaces it by a (family, n) function.
     """
     cs = comps.compositions(comps.check_dense_degree(n))
     return chain_matrix(cs) if family == "shin" else count_matrix(family, cs)

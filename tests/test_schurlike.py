@@ -1592,6 +1592,107 @@ def test_schur_detect_matches_the_enumerating_route():
                 assert _schur_detect_by_enumeration(broken) is None, broken
 
 
+def _schur_detect_two_loops(f):
+    """The earlier one-class-at-a-time schur_detect, kept as the reference:
+    one loop reads the coefficient at each partition, a second sorts every
+    index again to compare and count the members of its class."""
+    md = f.canonical_dict()
+    by_partition = {}
+    for comp, c in md.items():
+        lam = comps.sort_to_partition(comp)
+        if comp == lam:
+            by_partition[lam] = c
+    members = {}
+    for comp, c in md.items():
+        lam = comps.sort_to_partition(comp)
+        if by_partition.get(lam, 0) != c:
+            return None
+        members[lam] = members.get(lam, 0) + 1
+    if any(members[lam] != comps.rearrangement_count(lam) for lam in by_partition):
+        return None
+    return sl.SymElement("m", by_partition).to_basis("s")
+
+
+def _sym_product_by_detection(x, y):
+    """The earlier Sym product, kept as the reference: the QSym product read
+    back by detecting its symmetry."""
+    detected = _schur_detect_two_loops(multiply(x.to_qsym(), y.to_qsym()))
+    assert detected is not None
+    return detected
+
+
+def test_sym_products_match_the_detecting_route():
+    def check(x, y):
+        got, want = x * y, _sym_product_by_detection(x, y)
+        assert (got.basis, got.coeffs) == ("s", want.coeffs), (x, y)
+
+    def basis_terms(top):
+        for n in range(top + 1):
+            for lam in comps.partitions(n):
+                for basis in "mhs":
+                    yield sl.SymElement(basis, {lam: 1})
+
+    pairs = 0
+    for x in basis_terms(7):
+        for y in basis_terms(7 - sum(next(iter(x.coeffs)))):
+            check(x, -2 * y)
+            pairs += 1
+    assert pairs == 9 * 249  # the (mu, nu) pairs with |mu| + |nu| <= 7, in m, h, s each
+    zero = sl.SymElement("s")
+    mixed = [sl.SymElement("s", {(2, 1): 1, (3,): -1, (1,): 2, (): 3}),
+             sl.SymElement("m", {(1, 1): -2, (2, 2): 1, (4,): 5}),
+             sl.SymElement("h", {(): -1, (3, 1, 1): 2, (2,): 1})]
+    for x in [zero, sl.SymElement("s", {(): 1}), sl.SymElement("h", {(): -2})] + mixed:
+        for y in [zero, sl.SymElement("m", {(): 1}), sl.SymElement("s", {(2, 1): -2})] + mixed:
+            check(x, y)
+    assert (zero * mixed[0]).is_zero() and (mixed[1] * zero).is_zero()
+
+
+def test_schur_detect_matches_the_two_loop_route():
+    for n in range(7):
+        for alpha in comps.compositions(n):
+            for tok in ("sh*", "fsh*", "bsh*", "M", "F"):
+                f = term(tok, alpha)
+                assert sl.schur_detect(f) == _schur_detect_two_loops(f), f
+    # symmetric sums in M, then each way of dropping one rearrangement of a
+    # class with two or more members or changing its coefficient
+    broken_cases = 0
+    for n in range(1, 7):
+        for lam in comps.partitions(n):
+            for basis in "msh":
+                md = sl.SymElement(basis, {lam: 1, (n,): -2}).to_qsym().canonical_dict()
+                f = core.Element(core.QSYM, {("M", a): c for a, c in md.items()})
+                assert sl.schur_detect(f) == _schur_detect_two_loops(f) is not None, f
+                for a in md:
+                    if len(set(a)) == 1:
+                        continue
+                    dropped = {b: c for b, c in md.items() if b != a}
+                    changed = {**md, a: md[a] + 1}
+                    for broken in (dropped, changed):
+                        g = core.Element(core.QSYM, {("M", b): c for b, c in broken.items()})
+                        assert sl.schur_detect(g) is None, g
+                        assert _schur_detect_two_loops(g) is None, g
+                        broken_cases += 1
+    assert broken_cases > 1000
+
+
+def test_sym_products_call_no_detector(monkeypatch):
+    """A Sym product is symmetric by construction, so it reads its
+    m-coefficients off the QSym product and never asks schur_detect."""
+    h_times_m = (sl.SymElement("h", {(2, 1): 1}), sl.SymElement("m", {(2,): -2, (1,): 1}))
+    want = _sym_product_by_detection(*h_times_m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Sym product called schur_detect")
+
+    monkeypatch.setattr(sl, "schur_detect", refuse)
+    assert sl.littlewood_richardson((2, 1), (2, 1)) == {
+        (2, 2, 1, 1): 1, (2, 2, 2): 1, (3, 1, 1, 1): 1,
+        (3, 2, 1): 2, (3, 3): 1, (4, 1, 1): 1, (4, 2): 1,
+    }
+    assert h_times_m[0] * h_times_m[1] == want
+
+
 def test_chain_kostka_matrix_matches_count_k():
     for n in range(10):
         ps = comps.partitions(n)
