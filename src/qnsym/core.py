@@ -23,18 +23,19 @@ omega = rho psi, and the antipode is (-1)^degree omega.  On the ribbon basis R a
 fundamental basis F each involution is a pure reindex: psi complements the
 index, rho reverses it and omega transposes it.  A basis registered as the
 image of another (E = psi(H), and the Schur-like bases transported from
-shin, the starred ones with maps that read their partners' matrices
-transposed) is reached from it by reindexing alone.  So an involution or
+shin) is reached from it by reindexing alone.  So an involution or
 the antipode of an element of R, F or a registered image is a reindex into
 the partner basis; into any other basis but the canonical one it then reads
 one memoised partner-to-basis line per index (`_across`).  Mixed supports
 and the other bases take the canonical route.  A basis registered by its
-image alone reads its maps off the rows
-of `transition_matrix`, the one dense builder, which carries the source's
-matrices a whole degree at a time by the involution's matrix on the
-canonical basis: rho reverses indices, and psi is a sign diagonal times the
-zeta matrix of the Boolean lattice of descent sets.  Between two other
-bases it is the product of their matrices through the canonical basis.
+image alone derives its maps: a rho image reads its source's matrix lines
+(`MatrixLines`) through the reversal, and a psi image the rows that
+`transition_matrix`, the one dense builder, carries from the source a whole
+degree at a time (a sign diagonal times the zeta matrix of the Boolean
+lattice of descent sets).  A dual basis reads its partner's lines with rows
+and columns swapped (`dual_maps`), so the eight Schur-like bases read four
+stored matrices: shin's K, K^-1 and the two psi carries.  Between two other
+bases `transition_matrix` is the product through the canonical basis.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -66,7 +67,7 @@ class _BasisInfo(NamedTuple):
     algebra: str
     expand: Callable  # comp -> {comp: int}, image of basis element in canonical
     unexpand: Callable  # comp -> {comp: int}, canonical element in this basis
-    image: tuple = None  # (name, source) when the maps are derived from the image
+    psi_of: str = None  # the source, when the maps read the rows psi carries from it
 
 
 def linear(coeffs: dict, line) -> dict:
@@ -81,24 +82,32 @@ def linear(coeffs: dict, line) -> dict:
 
 
 class MatrixLines(NamedTuple):
-    """A map read off whole-degree matrices: line `key` is row `key` of
+    """A map read off whole-degree matrices: line `key` is row fix(key) of
     matrix(n), or its column if `column`, over the sorted index list
-    indices(n), n = |key|, zeros dropped."""
+    indices(n), n = |key|, each index c read as fix(c), zeros dropped;
+    `fix` is one of `_KLEIN`, so a rho image reads its source's matrices."""
     matrix: Callable
     indices: Callable
     column: bool
+    fix: Callable = tuple
 
     def __call__(self, key) -> dict:
-        n = sum(key)
+        n, fix = sum(key), self.fix
         rows, ordered = self.matrix(n), self.indices(n)
-        k = bisect_left(ordered, tuple(key))
+        k = bisect_left(ordered, fix(key))
         line = (row[k] for row in rows) if self.column else rows[k]
-        return {c: v for c, v in zip(ordered, line) if v}
+        return {fix(c): v for c, v in zip(ordered, line) if v}
 
     def lines(self, n: int) -> tuple:
-        """Every line of degree n as a dense row."""
-        rows = self.matrix(n)
-        return tuple(zip(*rows)) if self.column else rows
+        """Every line of degree n as a dense row, built in one pass."""
+        rows, ordered = self.matrix(n), self.indices(n)
+        if self.fix is tuple:
+            return tuple(zip(*rows)) if self.column else rows
+        order = [bisect_left(ordered, self.fix(c)) for c in ordered]
+        if self.column:  # transpose the reordered rows, then reorder the columns
+            across = tuple(zip(*map(rows.__getitem__, order)))
+            return tuple(map(across.__getitem__, order))
+        return tuple(tuple(map(rows[i].__getitem__, order)) for i in order)
 
     def apply(self, coeffs: dict) -> dict:
         """The combination {key: coeff} mapped line by line (`linear`)."""
@@ -161,29 +170,50 @@ def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=N
     in and out of the canonical basis.  `image=(name, source)` states that
     token_a = name(source_fix(a)) (fix reverses a for rho and omega): the
     involutions reindex between the two bases, and, given without maps, it
-    derives them: `transition_matrix`, the one dense builder, carries the
-    source's matrices by the involution a whole degree at a time (rho a
-    reversal, psi a signed zeta transform over descent sets), and the maps
-    read their rows.  A basis with neither is refused."""
+    derives them from a source read off matrices (`_derived`).  Anything
+    else is refused before the registry is touched."""
     _check_algebra(algebra)
     if token in _REGISTRY:
         raise ValueError(f"basis {token!r} already registered")
-    derived = image if expand is None and unexpand is None else None
+    name, source = image or (None, None)
+    if image and (name not in _FIX or source not in _REGISTRY):
+        raise ValueError(f"basis {token!r}: {name}({source}) is no involution of a basis")
+    derived = image and expand is None and unexpand is None
     if derived:
-        canonical = CANONICAL[algebra]
-        expand = MatrixLines(partial(_rows, token, canonical), comps.compositions, False)
-        unexpand = MatrixLines(partial(_rows, canonical, token), comps.compositions, False)
+        expand, unexpand = _derived(token, algebra, name, source)
     if expand is None or unexpand is None:
-        raise ValueError(f"basis {token!r} needs both expansion maps or an image")
-    _REGISTRY[token] = _BasisInfo(algebra, expand, unexpand, derived)
+        raise ValueError(f"basis {token!r} needs both expansion maps or an image to derive them")
+    psi_of = source if derived and name == "psi" else None
+    _REGISTRY[token] = _BasisInfo(algebra, expand, unexpand, psi_of)
     if token not in _TOKEN_ORDER:
         _TOKEN_ORDER.append(token)
-    if image is not None:
-        name, source = image
+    if image:
         _pair(name, source, token, _FIX[name])
         _close_partners()
     for cached in (_expand, _unexpand, _across):
         cached.cache_clear()
+
+
+def _derived(token: str, algebra: str, name: str, source: str) -> tuple:
+    """The maps of token = name(source) for a source read off matrices:
+    psi's read the rows that `transition_matrix` carries, rho's are the
+    source's lines with the reversal (_KLEIN[1]) composed into `fix`, and
+    omega's are not derived (None)."""
+    maps = _REGISTRY[source][1:3]
+    if name == "omega" or not all(isinstance(m, MatrixLines) for m in maps):
+        return None, None
+    if name == "rho":
+        return tuple(m._replace(fix=_KLEIN[_KLEIN.index(m.fix) ^ 1]) for m in maps)
+    canonical = CANONICAL[algebra]
+    return (MatrixLines(partial(_rows, token, canonical), comps.compositions, False),
+            MatrixLines(partial(_rows, canonical, token), comps.compositions, False))
+
+
+def dual_maps(token: str) -> tuple:
+    """(expand, unexpand) of X*, the dual of a basis X read off matrices:
+    T(X* -> M) = T(H -> X)^t and T(M -> X*) = T(X -> H)^t, `column` flipped."""
+    info = _REGISTRY[check_basis(token)]
+    return tuple(m._replace(column=not m.column) for m in (info.unexpand, info.expand))
 
 
 def bases(algebra=None) -> tuple:
@@ -806,9 +836,10 @@ class TransitionMatrix(NamedTuple):
 @lru_cache(maxsize=None)
 def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix:
     """The one dense builder.  Between a basis and the canonical one the rows
-    are its maps' lines (whole matrices where a map reads one), or `_carried`
-    for a basis registered by its image alone; any other pair is the product
-    T(source -> canonical) T(canonical -> target)."""
+    are its map's lines, or `_carried` for a basis registered as psi of
+    another by its image alone; any other pair is the product
+    T(source -> canonical) T(canonical -> target).  A reindexed or
+    transposed matrix is built only when asked for: no map reads one."""
     algebra = algebra_of(source)
     if algebra_of(target) != algebra:
         raise ValueError("transition matrix needs two bases of one algebra")
@@ -820,13 +851,13 @@ def transition_matrix(source: str, target: str, degree: int) -> TransitionMatrix
     forth = target == canonical
     info = _REGISTRY[source if forth else target]
     line = info.expand if forth else info.unexpand
-    if info.image:
-        return TransitionMatrix(source, target, degree, cs,
-                                _carried(*info.image, canonical, degree, forth))
-    if isinstance(line, MatrixLines):
-        return TransitionMatrix(source, target, degree, cs, line.lines(degree))
-    zeros = (0,) * len(cs)
-    rows = tuple(tuple(map(line(a).get, cs, zeros)) for a in cs)
+    if info.psi_of:
+        rows = _carried(info.psi_of, forth, degree)
+    elif isinstance(line, MatrixLines):
+        rows = line.lines(degree)
+    else:
+        zeros = (0,) * len(cs)
+        rows = tuple(tuple(map(line(a).get, cs, zeros)) for a in cs)
     return TransitionMatrix(source, target, degree, cs, rows)
 
 
@@ -834,22 +865,16 @@ def _rows(source: str, target: str, degree: int) -> tuple:
     return transition_matrix(source, target, degree).rows
 
 
-def _carried(name: str, source: str, canonical: str, degree: int, forth: bool) -> tuple:
-    """The rows of X = name(source), X_a = name(source_fix(a)), to (forth) or
-    from the canonical basis: T(X -> can) = fix T(source -> can) Q and
-    T(can -> X) = Q T(can -> source) fix, Q the matrix of `name`."""
-    if name == "rho":
-        rows = _rows(*((source, canonical) if forth else (canonical, source)), degree)
-    elif forth:  # T Q = (Q^t T^t)^t
-        across = tuple(zip(*_rows(source, canonical, degree)))
-        rows = tuple(zip(*_psi(across, canonical == "M")))
-    else:
-        rows = _psi(_rows(canonical, source, degree), canonical == "H")
-    if name != "psi":  # rho and omega = rho psi
-        where = {c: i for i, c in enumerate(comps.compositions(degree))}
-        flip = [where[comps.reverse(c)] for c in where]
-        rows = tuple(tuple(map(rows[i].__getitem__, flip)) for i in flip)
-    return rows
+def _carried(source: str, forth: bool, degree: int) -> tuple:
+    """The rows of X = psi(source), X_a = psi(source_a), to (forth) or from
+    the canonical basis: T(X -> can) = T(source -> can) Q and
+    T(can -> X) = Q T(can -> source), Q the matrix of psi, no copy kept."""
+    info = _REGISTRY[source]
+    on_m = info.algebra == QSYM
+    if forth:  # T Q = (Q^t T^t)^t, T^t the source's lines read across
+        across = info.expand._replace(column=not info.expand.column)
+        return tuple(zip(*_psi(across.lines(degree), on_m)))
+    return _psi(info.unexpand.lines(degree), not on_m)
 
 
 def _psi(rows: tuple, on_h: bool) -> tuple:

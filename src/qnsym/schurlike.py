@@ -16,12 +16,13 @@ give the Kostka matrix and its inverse.  The other pairs are registered as
 its images under INVOLUTION: psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a),
 omega(sh_a) = bsh_rev(a), starred alike, which is all the registry needs to
 derive the NSym bases' maps; each starred basis, the dual of its partner,
-reads its partner's matrices transposed.  Their own tableau counts are the
-oracle of `verify tableaux`.  On top of the bases live the Pieri rules, the
-beth creation operators, Jacobi-Trudi expansions (the creation operators
-folded over the index), ribbon multiplication, skew and skew-II functions,
-structure coefficients, coproduct formulas, and the bridge to symmetric
-functions.
+reads its partner's matrices with rows and columns swapped.  So every map
+reads K, K^-1 or one of their two psi images in place.  Their own tableau
+counts are the oracle of `verify tableaux`.  On top of the bases live the
+Pieri rules, the beth creation operators, Jacobi-Trudi expansions (the
+creation operators folded over the index), ribbon multiplication, skew and
+skew-II functions, structure coefficients, coproduct formulas, and the
+bridge to symmetric functions.
 The Pieri, Jacobi-Trudi and ribbon routes work for sh and reach the other
 families by `core.involution` under INVOLUTION alone; a ribbon product
 walks the ribbon part by part, so no tableau or H-word is listed here.  Skew
@@ -83,32 +84,26 @@ def register_bases() -> None:
     reads off the shin K (strip chains) and K^-1 (Pieri elimination), rsh,
     fsh and bsh are its images under INVOLUTION, from which the registry
     derives their maps and reindexes them, and each starred basis, the dual
-    of its partner, reads its partner's matrices transposed, with its image
-    kept for the reindex.  rho only reverses indices of H and M, so only rsh
-    pays for psi; this order fixes the order terms print in."""
+    of its partner, reads its partner's matrices with rows and columns
+    swapped (`core.dual_maps`), with its image kept for the reindex.  So
+    every map reads K, K^-1, T(rsh -> H) or T(H -> rsh) in place; this
+    order fixes the order terms print in."""
     if "sh" in core.bases():
         return
 
     def shin_kappa(n):  # looked up per call so that tab.kappa_matrix can be replaced
         return tab.kappa_matrix("shin", n)
 
-    lines = partial(core.MatrixLines, indices=comps.compositions)
-    core.register_basis("sh", NSYM, lines(_kappa_inverse, column=True),
-                        lines(shin_kappa, column=True))
+    lines = partial(core.MatrixLines, indices=comps.compositions, column=True)
+    core.register_basis("sh", NSYM, lines(_kappa_inverse), lines(shin_kappa))
     for family, name in INVOLUTION.items():
         tok, star = NSYM_TOKEN[family], QSYM_TOKEN[family]
-        # omega = rho psi: as omega(sh), bsh would pay for psi again, as rsh does
+        # omega = rho psi: as omega(sh), bsh would need maps of its own
         name, source = ("rho", "row_strict") if name == "omega" else (name, "shin")
         if name:
             core.register_basis(tok, NSYM, image=(name, NSYM_TOKEN[source]))
-        # <X_a, X*_b> = [a = b], so T(X* -> M) = T(H -> X)^t, T(M -> X*) = T(X -> H)^t
-        core.register_basis(star, QSYM, lines(partial(_rows, "H", tok), column=True),
-                            lines(partial(_rows, tok, "H"), column=True),
+        core.register_basis(star, QSYM, *core.dual_maps(tok),
                             image=(name, QSYM_TOKEN[source]) if name else None)
-
-
-def _rows(source: str, target: str, n: int) -> tuple:
-    return core.transition_matrix(source, target, n).rows
 
 
 # ---------------------------------------------------------------------------

@@ -1081,23 +1081,39 @@ def test_tableau_suite_reports_psi_without_its_sign(monkeypatch):
         assert any(label in f for f in transport), (label, failures)
 
 
-def test_omega_carries_what_rho_of_psi_carries(monkeypatch):
-    """bsh and bsh* are registered as rho of rsh and rsh*; registered as omega
-    of sh and sh* instead, they get the same matrices."""
-    bases = ("bsh", "bsh*")
-    want = {(tok, n): (core.transition_matrix(tok, can, n), core.transition_matrix(can, tok, n))
-            for tok, can in zip(bases, ("H", "M")) for n in range(8)}
-    for tok, source in zip(bases, ("sh", "sh*")):
-        monkeypatch.setitem(core._REGISTRY, tok,
-                            core._REGISTRY[tok]._replace(image=("omega", source)))
-    core.transition_matrix.cache_clear()
+def test_bsh_is_omega_of_sh_and_an_omega_image_alone_is_refused():
+    """bsh and bsh* are registered as rho of rsh and rsh*, and their maps
+    equal omega of sh and sh* by the canonical route through degree 7; an
+    omega image given without maps has no matrix to read and is refused."""
+    for tok, source in (("bsh", "sh"), ("bsh*", "sh*")):
+        info = core._REGISTRY[tok]
+        expand, unexpand = _transported("omega", source)
+        for a in comps_upto(7):
+            assert info.expand(a) == expand(a), (tok, a)
+            assert info.unexpand(a) == unexpand(a), (tok, a)
+    before = core.bases()
+    with pytest.raises(ValueError, match="needs both expansion maps or an image to derive them"):
+        core.register_basis("X", core.NSYM, image=("omega", "sh"))
+    assert core.bases() == before
+
+
+def test_no_line_read_builds_a_reindexed_or_transposed_matrix():
+    """Every Schur-like map reads K, K^-1, T(rsh -> H) or T(H -> rsh) in
+    place: one term of each basis but rsh converted both ways at degree 7
+    leaves only the two carried psi matrices in `transition_matrix`."""
+    _clear_conversion_caches()
     try:
-        got = {(tok, n): (core.transition_matrix(tok, can, n), core.transition_matrix(can, tok, n))
-               for tok, can in zip(bases, ("H", "M")) for n in range(8)}
+        for tok in ("sh", "sh*", "rsh*", "fsh", "fsh*", "bsh", "bsh*"):
+            canonical = core.CANONICAL[core.algebra_of(tok)]
+            term(tok, (2, 1, 3, 1)).convert(canonical)
+            term(canonical, (1, 3, 2, 1)).convert(tok)
+        assert core.transition_matrix.cache_info().currsize == 2
+        core.transition_matrix("rsh", "H", 7)
+        core.transition_matrix("H", "rsh", 7)
+        info = core.transition_matrix.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)  # both were cached already
     finally:
-        monkeypatch.undo()
-        core.transition_matrix.cache_clear()
-    assert got == want
+        _clear_conversion_caches()
 
 
 def test_the_starred_bases_read_their_partners_matrices_transposed(monkeypatch):
@@ -1134,12 +1150,21 @@ def test_e_keeps_its_closed_form_maps():
     assert core._REGISTRY["E"].unexpand is core._E_H
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"expand": dict}, {"unexpand": dict}])
+@pytest.mark.parametrize("kwargs", [
+    {}, {"expand": dict}, {"unexpand": dict}, {"image": ("phi", "sh")},
+    {"image": ("psi", "nosuch")}, {"image": ("omega", "sh")}, {"image": ("rho", "R")},
+    {"expand": dict, "unexpand": dict, "image": ("phi", "sh")}])
 def test_a_basis_with_neither_maps_nor_an_image_is_refused(kwargs):
-    before = core.bases()
-    with pytest.raises(ValueError, match="needs both expansion maps or an image"):
+    """Refused before anything is registered: no maps and no image, an image
+    that is no involution of a registered basis, and an image the registry
+    cannot derive maps from (omega, or rho of closed-form maps)."""
+    before = core.bases(), dict(core._PARTNER["psi"])
+    name, source = kwargs.get("image", (None, None))
+    match = ("is no involution of a basis" if name == "phi" or source == "nosuch"
+             else "needs both expansion maps or an image")
+    with pytest.raises(ValueError, match=match):
         core.register_basis("X", core.NSYM, **kwargs)
-    assert core.bases() == before
+    assert (core.bases(), core._PARTNER["psi"]) == before
     assert "X" not in core._TOKEN_ORDER
 
 
