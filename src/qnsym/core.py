@@ -122,8 +122,8 @@ _REGISTRY: dict = {}
 # sits at the XOR of their positions (transpose = reverse . complement).  The
 # closed forms start the tables: rho reverses the indices of H, M, R and F,
 # and psi complements those of R and F.  `register_basis` adds each basis's
-# stated image with the map _FIX[name], and `_close_partners` the pairs they
-# imply (psi(H) = E arrives so, and omega everywhere).
+# stated image with the map _FIX[name] (psi(H) = E, omega(sh) = bsh), and
+# `_close_partners` the pairs they imply (rho(rsh) = bsh, omega of H).
 _KLEIN = (tuple, comps.reverse, comps.complement, comps.transpose)
 _FIX = {"psi": tuple, "rho": comps.reverse, "omega": comps.reverse}
 _PARTNER = {"psi": {}, "rho": {}, "omega": {}}
@@ -170,8 +170,8 @@ def register_basis(token: str, algebra: str, expand=None, unexpand=None, image=N
     in and out of the canonical basis.  `image=(name, source)` states that
     token_a = name(source_fix(a)) (fix reverses a for rho and omega): the
     involutions reindex between the two bases, and, given without maps, it
-    derives them from a source read off matrices (`_derived`).  Anything
-    else is refused before the registry is touched."""
+    derives them from a source read off matrices (`_derived`), omega's by
+    way of psi.  Anything else is refused before the registry is touched."""
     _check_algebra(algebra)
     if token in _REGISTRY:
         raise ValueError(f"basis {token!r} already registered")
@@ -198,7 +198,9 @@ def _derived(token: str, algebra: str, name: str, source: str) -> tuple:
     """The maps of token = name(source) for a source read off matrices:
     psi's read the rows that `transition_matrix` carries, rho's are the
     source's lines with the reversal (_KLEIN[1]) composed into `fix`, and
-    omega's are not derived (None)."""
+    omega's, as omega = rho psi, rho's of a psi partner on the same indices."""
+    if name == "omega" and _INDEX_MAP["psi"].get(source) is tuple:
+        name, source = "rho", _PARTNER["psi"][source]
     maps = _REGISTRY[source][1:3]
     if name == "omega" or not all(isinstance(m, MatrixLines) for m in maps):
         return None, None

@@ -15,9 +15,10 @@ is sh_prefix H_last minus sh over the prefix's other strip extensions
 give the Kostka matrix and its inverse.  The other pairs are registered as
 its images under INVOLUTION: psi(sh_a) = rsh_a, rho(sh_a) = fsh_rev(a),
 omega(sh_a) = bsh_rev(a), starred alike, which is all the registry needs to
-derive the NSym bases' maps; each starred basis, the dual of its partner,
-reads its partner's matrices with rows and columns swapped.  So every map
-reads K, K^-1 or one of their two psi images in place.  Their own tableau
+derive the NSym bases' maps (bsh reads rsh's, reversed, as omega = rho psi);
+each starred basis, the dual of its partner, reads its partner's matrices
+with rows and columns swapped.  So every map reads K, K^-1 or one of their
+two psi images in place.  Their own tableau
 counts are the oracle of `verify tableaux`.  On top of the bases live the
 Pieri rules, the beth creation operators, Jacobi-Trudi expansions (the
 creation operators folded over the index), ribbon multiplication, skew and
@@ -98,12 +99,9 @@ def register_bases() -> None:
     core.register_basis("sh", NSYM, lines(_kappa_inverse), lines(shin_kappa))
     for family, name in INVOLUTION.items():
         tok, star = NSYM_TOKEN[family], QSYM_TOKEN[family]
-        # omega = rho psi: as omega(sh), bsh would need maps of its own
-        name, source = ("rho", "row_strict") if name == "omega" else (name, "shin")
         if name:
-            core.register_basis(tok, NSYM, image=(name, NSYM_TOKEN[source]))
-        core.register_basis(star, QSYM, *core.dual_maps(tok),
-                            image=(name, QSYM_TOKEN[source]) if name else None)
+            core.register_basis(tok, NSYM, image=(name, "sh"))
+        core.register_basis(star, QSYM, *core.dual_maps(tok), image=name and (name, "sh*"))
 
 
 # ---------------------------------------------------------------------------

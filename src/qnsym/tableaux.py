@@ -3,7 +3,8 @@
 Shapes are compositions drawn with left-justified rows, row 1 on top.  A
 skew shape removes a left prefix of boxes from each of the *top* rows; a
 skew-II shape removes a left prefix from each of the *bottom* rows (the
-last len(inner) rows of the outer shape, matched to inner in order).
+last len(inner) rows of the outer shape, matched to inner in order): with
+its rows reversed it is a skew shape, and `is_chain_legal` reads it so.
 
 Each family fixes a row order, a column order and a descent rule; column
 conditions compare consecutive boxes in the same column taken in
@@ -76,13 +77,10 @@ class Shape(NamedTuple):
 
     @property
     def removed(self) -> tuple:
-        """Boxes removed from the left of each row of outer."""
-        k, inner = len(self.outer), self.inner
-        if self.kind == "skew":
-            return tuple(inner) + (0,) * (k - len(inner))
-        if self.kind == "skew2":
-            return (0,) * (k - len(inner)) + tuple(inner)
-        return (0,) * k
+        """Boxes removed from the left of each row of outer: inner on the top
+        rows, or on the bottom rows of a skew-II shape."""
+        inner, pad = tuple(self.inner), (0,) * (len(self.outer) - len(self.inner))
+        return pad + inner if self.kind == "skew2" else inner + pad
 
     @property
     def size(self) -> int:
@@ -121,23 +119,17 @@ def is_chain_legal(shape: Shape) -> bool:
     """Whether the skew region can be built by adding boxes one at a time.
 
     A skew shape is buildable unless an unremoved box sits in the same
-    column above a removed box; for skew-II, unless one sits below.
+    column above a removed box; a skew-II shape is read with rows reversed.
     """
     outer, rem = shape.outer, shape.removed
-    k = len(outer)
-    if shape.kind == "skew":
-        return not any(
-            outer[i] > rem[i] and rem[j] > rem[i]
-            for i in range(k)
-            for j in range(i + 1, k)
-        )
     if shape.kind == "skew2":
-        return not any(
-            rem[i] > rem[j] and outer[j] > rem[j]
-            for i in range(k)
-            for j in range(i + 1, k)
-        )
-    return True
+        outer, rem = outer[::-1], rem[::-1]
+    k = len(outer)
+    return not any(
+        outer[i] > rem[i] and rem[j] > rem[i]
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
 
 
 class Tableau(NamedTuple):

@@ -518,6 +518,17 @@ def test_verify_sweeps_degree_1(capsys):
     assert not any(" 0 cases" in line for line in lines)
 
 
+def test_verify_keeps_its_case_counts(capsys):
+    """Every suite sweeps exactly as many cases as it did, so a sweep that
+    silently shrank fails here, not only one that reports a failure."""
+    assert cli.run(["verify", "--json", "--max-degree", "3"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert {r["identity"]: (r["cases"], r["failures"]) for r in reports} == {
+        "antipode-shin": (14, []), "coproducts": (64, []), "duality": (132, []),
+        "involutions": (582, []), "jt-vs-pieri": (12, []), "schur-bridge": (36, []),
+        "tableaux": (199, [])}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--max-degree", "-1"],
     ["verify", "--identity", "involutions", "--max-degree", "0"],

@@ -1081,20 +1081,30 @@ def test_tableau_suite_reports_psi_without_its_sign(monkeypatch):
         assert any(label in f for f in transport), (label, failures)
 
 
-def test_bsh_is_omega_of_sh_and_an_omega_image_alone_is_refused():
-    """bsh and bsh* are registered as rho of rsh and rsh*, and their maps
-    equal omega of sh and sh* by the canonical route through degree 7; an
-    omega image given without maps has no matrix to read and is refused."""
-    for tok, source in (("bsh", "sh"), ("bsh*", "sh*")):
+def test_bsh_is_omega_of_sh_and_an_omega_image_alone_is_refused(monkeypatch):
+    """bsh and bsh* are registered as omega of sh and sh*.  Their maps are
+    rsh's and rsh*'s lines with the reversal composed into `fix` (omega =
+    rho psi, and psi keeps sh's indices), and they equal omega of sh and sh*
+    by the canonical route through degree 7.  An omega image whose psi
+    partner moves the indices (R, complemented) has no matrix to read
+    through a reversal and is refused."""
+    for tok, source, partner in (("bsh", "sh", "rsh"), ("bsh*", "sh*", "rsh*")):
+        assert core._PARTNER["omega"][source] == tok
         info = core._REGISTRY[tok]
+        assert info[1:3] == tuple(m._replace(fix=core._KLEIN[core._KLEIN.index(m.fix) ^ 1])
+                                  for m in core._REGISTRY[partner][1:3])
+        assert core._derived(tok, info.algebra, "omega", source) == info[1:3]
         expand, unexpand = _transported("omega", source)
         for a in comps_upto(7):
             assert info.expand(a) == expand(a), (tok, a)
             assert info.unexpand(a) == unexpand(a), (tok, a)
     before = core.bases()
     with pytest.raises(ValueError, match="needs both expansion maps or an image to derive them"):
-        core.register_basis("X", core.NSYM, image=("omega", "sh"))
+        core.register_basis("X", core.NSYM, image=("omega", "R"))
     assert core.bases() == before
+    # were psi(sh_a) = rsh_f(a), rsh's lines reversed would not be omega's
+    monkeypatch.setitem(core._INDEX_MAP["psi"], "sh", comps.complement)
+    assert core._derived("X", core.NSYM, "omega", "sh") == (None, None)
 
 
 def test_no_line_read_builds_a_reindexed_or_transposed_matrix():
@@ -1152,12 +1162,14 @@ def test_e_keeps_its_closed_form_maps():
 
 @pytest.mark.parametrize("kwargs", [
     {}, {"expand": dict}, {"unexpand": dict}, {"image": ("phi", "sh")},
-    {"image": ("psi", "nosuch")}, {"image": ("omega", "sh")}, {"image": ("rho", "R")},
-    {"expand": dict, "unexpand": dict, "image": ("phi", "sh")}])
+    {"image": ("psi", "nosuch")}, {"image": ("omega", "R")}, {"image": ("rho", "R")},
+    {"expand": dict, "unexpand": dict, "image": ("phi", "sh")}, {"image": ("omega", "H")}])
 def test_a_basis_with_neither_maps_nor_an_image_is_refused(kwargs):
     """Refused before anything is registered: no maps and no image, an image
     that is no involution of a registered basis, and an image the registry
-    cannot derive maps from (omega, or rho of closed-form maps)."""
+    cannot derive maps from (omega of R, whose psi partner complements the
+    index, omega of H, whose psi partner E has closed-form maps, or rho of
+    closed-form maps)."""
     before = core.bases(), dict(core._PARTNER["psi"])
     name, source = kwargs.get("image", (None, None))
     match = ("is no involution of a basis" if name == "phi" or source == "nosuch"

@@ -99,6 +99,44 @@ def test_chain_legality():
     assert not tab.is_chain_legal(tab.skew2((2, 3, 3), (2, 1)))
 
 
+def _removed_and_chain_legal_by_kind(shape):
+    """The reference: the removed boxes by three branches, and skew and
+    skew-II legality as two mirrored double loops."""
+    outer, inner = shape.outer, shape.inner
+    k = len(outer)
+    if shape.kind == "skew":
+        rem = inner + (0,) * (k - len(inner))
+        return rem, not any(outer[i] > rem[i] and rem[j] > rem[i]
+                            for i in range(k) for j in range(i + 1, k))
+    if shape.kind == "skew2":
+        rem = (0,) * (k - len(inner)) + inner
+        return rem, not any(rem[i] > rem[j] and outer[j] > rem[j]
+                            for i in range(k) for j in range(i + 1, k))
+    return (0,) * k, True
+
+
+def test_chain_legality_is_the_skew_rule_read_on_reversed_rows():
+    """One rule, and one padding of the removed boxes, against the
+    by-kind reference on every straight, skew and skew-II shape with an
+    outer shape of degree <= 8."""
+    shapes = {"straight": 0, "skew": 0, "skew2": 0}
+    for n in range(9):
+        for outer in comps.compositions(n):
+            candidates = [tab.straight(outer)]
+            for m in range(n + 1):
+                for inner in comps.compositions(m):
+                    for make in (tab.skew, tab.skew2):
+                        try:
+                            candidates.append(make(outer, inner))
+                        except ValueError:  # inner does not fit
+                            pass
+            for shape in candidates:
+                shapes[shape.kind] += 1
+                got = shape.removed, tab.is_chain_legal(shape)
+                assert got == _removed_and_chain_legal_by_kind(shape), shape
+    assert shapes == {"straight": 256, "skew": 3925, "skew2": 3925}
+
+
 # --- validation and enumeration ---------------------------------------------
 
 def test_validate_by_family():
