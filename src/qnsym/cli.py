@@ -103,23 +103,14 @@ def parse_element(text: str) -> Element:
     return Element(algebra, terms)
 
 
-def emit(args, text_value, json_value):
-    if args.json:
-        print(json.dumps(json_value))
-    else:
-        print(text_value)
-
-
-def emit_lines(args, lines, json_value):  # json_value() is built only for --json
+def emit(args, lines, json_value):
+    """Print the text lines one by one, or with --json json_value() as JSON,
+    so that only the form printed is built (an element's: map(str, [x]))."""
     if args.json:
         print(json.dumps(json_value()))
     else:
         for line in lines:
             print(line)
-
-
-def emit_element(args, x):
-    emit(args, str(x), x.to_json_dict())
 
 
 def require_algebra(x: Element, algebra: str, what: str):
@@ -142,15 +133,16 @@ def target_basis(args, x: Element, default=None):
 
 def cmd_convert(args):  # expand and convert, where --basis is required
     x = parse_element(args.element)
-    emit_element(args, x.convert(target_basis(args, x, default=core.CANONICAL[x.algebra])))
+    y = x.convert(target_basis(args, x, default=core.CANONICAL[x.algebra]))
+    emit(args, map(str, [y]), y.to_json_dict)
 
 
 def cmd_multiply(args):
     x, y = parse_element(args.left), parse_element(args.right)
     if x.algebra != y.algebra:
         raise CLIError(2, "cannot multiply elements of different algebras")
-    basis = target_basis(args, x)
-    emit_element(args, multiply(x, y, basis=basis))
+    product = multiply(x, y, basis=target_basis(args, x))
+    emit(args, map(str, [product]), product.to_json_dict)
 
 
 def cmd_pair(args):
@@ -159,60 +151,63 @@ def cmd_pair(args):
         raise CLIError(2, "pair takes the NSym element first, then the QSym one")
     if h.algebra != core.NSYM or f.algebra != core.QSYM:
         raise CLIError(2, "pair needs one NSym and one QSym element")
-    value = pair(h, f)
-    emit(args, str(value), {"value": str(value)})
+    value = str(pair(h, f))
+    emit(args, [value], lambda: {"value": value})
 
 
 def cmd_involute(args):
     x = parse_element(args.element)
-    emit_element(args, involution(args.name, x, basis=target_basis(args, x)))
+    y = involution(args.name, x, basis=target_basis(args, x))
+    emit(args, map(str, [y]), y.to_json_dict)
 
 
 def cmd_antipode(args):
     x = parse_element(args.element)
-    emit_element(args, antipode(x, basis=target_basis(args, x)))
+    y = antipode(x, basis=target_basis(args, x))
+    emit(args, map(str, [y]), y.to_json_dict)
 
 
 def cmd_pieri(args):
-    alpha = parse_composition(args.alpha)
-    emit_element(args, sl.pieri(args.family, alpha, args.r))
+    x = sl.pieri(args.family, parse_composition(args.alpha), args.r)
+    emit(args, map(str, [x]), x.to_json_dict)
 
 
 def cmd_beth(args):
     x = parse_element(args.element)
     require_algebra(x, core.NSYM, "beth")
-    emit_element(args, sl.beth(args.m, x))
+    y = sl.beth(args.m, x)
+    emit(args, map(str, [y]), y.to_json_dict)
 
 
 def cmd_jacobi_trudi(args):
-    beta = parse_composition(args.beta, allow_empty=False)
-    emit_element(args, sl.jacobi_trudi(args.family, beta))
+    x = sl.jacobi_trudi(args.family, parse_composition(args.beta, allow_empty=False))
+    emit(args, map(str, [x]), x.to_json_dict)
 
 
 def cmd_ribbon_mult(args):
     alpha = parse_composition(args.alpha)
-    beta = parse_composition(args.beta)
-    emit_element(args, sl.ribbon_multiply(args.family, alpha, beta))
+    x = sl.ribbon_multiply(args.family, alpha, parse_composition(args.beta))
+    emit(args, map(str, [x]), x.to_json_dict)
 
 
 def cmd_skew(args):  # skew and skew2, told apart by args.peel
     outer = parse_composition(args.outer)
-    inner = parse_composition(args.inner)
-    emit_element(args, args.peel(args.family, outer, inner))
+    x = args.peel(args.family, outer, parse_composition(args.inner))
+    emit(args, map(str, [x]), x.to_json_dict)
 
 
 def cmd_coproduct(args):
     result = coproduct(parse_element(args.element))
-    emit(args, str(result), result.to_json_dict())
+    emit(args, map(str, [result]), result.to_json_dict)
 
 
 def cmd_struct_coeffs(args):
     beta = parse_composition(args.beta)
     gamma = parse_composition(args.gamma)
     coeffs = sl.structure_coeffs(args.family, beta, gamma)
-    emit_lines(args, (f"{args.family}{fmt_comp(c.alpha)}: {c.value}" for c in coeffs),
-               lambda: [{"alpha": list(c.alpha), "beta": list(c.beta), "gamma": list(c.gamma),
-                         "value": str(c.value)} for c in coeffs])
+    emit(args, (f"{args.family}{fmt_comp(c.alpha)}: {c.value}" for c in coeffs),
+         lambda: [{"alpha": list(c.alpha), "beta": list(c.beta), "gamma": list(c.gamma),
+                   "value": str(c.value)} for c in coeffs])
 
 
 def cmd_chi(args):
@@ -223,7 +218,7 @@ def cmd_chi(args):
         if args.basis not in ("m", "h", "s"):
             raise CLIError(2, f"unknown Sym basis {args.basis!r}")
         image = image.to_basis(args.basis)
-    emit(args, str(image), image.to_json_dict())
+    emit(args, map(str, [image]), image.to_json_dict)
 
 
 def cmd_schur_detect(args):
@@ -231,10 +226,10 @@ def cmd_schur_detect(args):
     require_algebra(x, core.QSYM, "schur-detect")
     detected = sl.schur_detect(x)
     if detected is None:
-        emit(args, "not symmetric", {"symmetric": False})
+        emit(args, ["not symmetric"], lambda: {"symmetric": False})
     else:
-        emit(args, str(detected),
-             {"symmetric": True, "expansion": detected.to_json_dict()})
+        emit(args, map(str, [detected]),
+             lambda: {"symmetric": True, "expansion": detected.to_json_dict()})
 
 
 def _shape_from_args(args):
@@ -257,36 +252,36 @@ def cmd_tableaux(args):
     family = sl.family_name(args.family)
     if args.mode == "count":
         count = tab.count_tableaux(shape, family, type_vec)
-        emit(args, str(count), {"count": count})
+        emit(args, [count], lambda: {"count": count})
         return
     found = tab.enumerate_tableaux(shape, family, type_vec)
-    emit_lines(args, (",".join(map(fmt_comp, t.rows)) for t in found),
-               lambda: [t.to_json_dict() for t in found])
+    emit(args, (",".join(map(fmt_comp, t.rows)) for t in found),
+         lambda: [t.to_json_dict() for t in found])
 
 
 def cmd_strips(args):
     alpha = parse_composition(args.alpha)
     betas = tab.strip_extensions(alpha, args.r)
-    emit_lines(args, map(fmt_comp, betas), lambda: [list(b) for b in betas])
+    emit(args, map(fmt_comp, betas), lambda: [list(b) for b in betas])
 
 
 def cmd_poset_chains(args):
     beta = parse_composition(args.beta)
     alpha = parse_composition(args.alpha)
     chains = tab.maximal_chains(beta, alpha)
-    emit_lines(args, (" -> ".join(map(fmt_comp, chain)) for chain in chains),
-               lambda: [[list(c) for c in chain] for chain in chains])
+    emit(args, (" -> ".join(map(fmt_comp, chain)) for chain in chains),
+         lambda: [[list(c) for c in chain] for chain in chains])
 
 
 def cmd_transition_matrix(args):
     if algebra_of(args.source) != algebra_of(args.target):
         raise CLIError(2, "source and target bases live in different algebras")
     matrix = core.transition_matrix(args.source, args.target, args.degree)
-    emit_lines(args, (f"{fmt_comp(comp)} | " + " ".join(map(str, row))
-                      for comp, row in zip(matrix.indices, matrix.rows)),
-               lambda: {"source": matrix.source, "target": matrix.target,
-                        "degree": matrix.degree, "indices": [list(c) for c in matrix.indices],
-                        "rows": [[str(v) for v in row] for row in matrix.rows]})
+    emit(args, (f"{fmt_comp(comp)} | " + " ".join(map(str, row))
+                for comp, row in zip(matrix.indices, matrix.rows)),
+         lambda: {"source": matrix.source, "target": matrix.target,
+                  "degree": matrix.degree, "indices": [list(c) for c in matrix.indices],
+                  "rows": [[str(v) for v in row] for row in matrix.rows]})
 
 
 def cmd_verify(args):

@@ -11,31 +11,33 @@ H (complete homogeneous) and M (monomial) are the canonical bases of NSym
 and QSym; every other basis registers a pair of expansion maps to and from
 the canonical one, and all structural operations (products, coproducts, the
 pairing, involutions, the antipode) are computed canonically and converted
-back.  Every linear map on a combination is one kernel, `linear`, which
-sums c * line(key), merges equal keys and drops zeros: basis changes, the
-canonical route of the involutions and the coproduct call it, while the
-bilinear products (`multiply`, the tensor product, `_peel`) keep their
-loops inline.  A tensor converts one leg at a time (`_leg`): the left leg
-of every term, merged, then the right.  The involutions have closed forms
-on the canonical bases: rho reverses the index of H_a and M_a,
-psi(H_a) = E_a, psi(M_a) is a signed sum over the coarsenings of a,
-omega = rho psi, and the antipode is (-1)^degree omega.  On the ribbon basis R and the
-fundamental basis F each involution is a pure reindex: psi complements the
-index, rho reverses it and omega transposes it.  A basis registered as the
-image of another (E = psi(H), and the Schur-like bases transported from
-shin) is reached from it by reindexing alone.  So an involution or
-the antipode of an element of R, F or a registered image is a reindex into
-the partner basis; into any other basis but the canonical one it then reads
-one memoised partner-to-basis line per index (`_across`).  Mixed supports
-and the other bases take the canonical route.  A basis registered by its
-image alone derives its maps: a rho image reads its source's matrix lines
-(`MatrixLines`) through the reversal, and a psi image the rows that
-`transition_matrix`, the one dense builder, carries from the source a whole
-degree at a time (a sign diagonal times the zeta matrix of the Boolean
-lattice of descent sets).  A dual basis reads its partner's lines with rows
-and columns swapped (`dual_maps`), so the eight Schur-like bases read four
-stored matrices: shin's K, K^-1 and the two psi carries.  Between two other
-bases `transition_matrix` is the product through the canonical basis.
+back.  Every linear map on a combination is one kernel, `linear`, which sums
+c * line(key), merges equal keys and drops zeros.  Only `multiply`
+(Littlewood-Richardson 8-14 % slower through it) and `_leg` (coproducts
+15-27 % slower), by which a tensor converts one leg at a time, the left leg
+of every term merged, then the right, keep their loops inline.
+`quasi_shuffle` keeps its memoised recursion, which perfbench's tracer test
+pins, and `tableaux.strip_walk` is the budgeted walk kernel.  The
+involutions have closed forms on the canonical bases: rho reverses the index
+of H_a and M_a, psi(H_a) = E_a, psi(M_a) is a signed sum over the
+coarsenings of a, omega = rho psi, and the antipode is (-1)^degree omega.
+On the ribbon basis R and the fundamental basis F each involution is a pure
+reindex: psi complements the index, rho reverses it and omega transposes it.
+A basis registered as the image of another (E = psi(H), and the Schur-like
+bases transported from shin) is reached from it by reindexing alone.  So an
+involution or the antipode of an element of R, F or a registered image is a
+reindex into the partner basis; into any other basis but the canonical one
+it then reads one memoised partner-to-basis line per index (`_across`).
+Mixed supports and the other bases take the canonical route.  A basis
+registered by its image alone derives its maps: a rho image reads its
+source's matrix lines (`MatrixLines`) through the reversal, and a psi image
+the rows that `transition_matrix`, the one dense builder, carries from the
+source a whole degree at a time (a sign diagonal times the zeta matrix of
+the Boolean lattice of descent sets).  A dual basis reads its partner's
+lines with rows and columns swapped (`dual_maps`), so the eight Schur-like
+bases read four stored matrices: shin's K, K^-1 and the two psi carries.
+Between two other bases `transition_matrix` is the product through the
+canonical basis.
 
 Coefficients live in the integers by design: the canonical transition
 matrices of all registered bases are integral both ways, and every
@@ -338,7 +340,8 @@ class _Combination:
 
     Subclasses say what differs: `_SPACE` (the JSON name of the space),
     `_check_space`, `_check_key`, `_sort_key`, `_label`, `_json_key`,
-    `_canonical` (what equality compares) and `_product`.  The public
+    `_canonical` (what equality compares, by default the space and the
+    canonical coefficients) and `_product`.  The public
     constructor checks every key and coefficient; library code builds from
     keys it has already checked through `_of`.  Instances are immutable:
     `terms` is a read-only view.
@@ -414,6 +417,9 @@ class _Combination:
             return NotImplemented
         return self._canonical() == other._canonical()
 
+    def _canonical(self):
+        return self._space, self.canonical_dict()
+
     __hash__ = None
 
     def sorted_terms(self) -> list:
@@ -461,9 +467,6 @@ class Element(_Combination):
     def _label(self, key):
         return format_index(*key)
 
-    def _canonical(self):
-        return self._space, self.canonical_dict()
-
     def _product(self, other):
         return multiply(self, other)
 
@@ -485,7 +488,7 @@ class Element(_Combination):
         canonical = CANONICAL[self._space]
         for basis, _ in self._terms:
             if basis != canonical:
-                return linear(self._terms, partial(_expanded, canonical))
+                return linear(self._terms, lambda key: _expand(*key))
         return {comp: c for (_, comp), c in self._terms.items()}
 
     def convert(self, target: str) -> "Element":
@@ -494,12 +497,6 @@ class Element(_Combination):
         if target != CANONICAL[self._space]:
             coeffs = linear(coeffs, partial(_unexpand, target))
         return Element._of(self._space, {(target, c): v for c, v in coeffs.items()})
-
-
-def _expanded(canonical: str, key: tuple) -> tuple:
-    """The line of (basis, comp) in the canonical basis."""
-    basis, comp = key
-    return ((comp, 1),) if basis == canonical else _expand(basis, comp)
 
 
 def element_from_json(data: dict) -> Element:
@@ -552,6 +549,9 @@ def _canonical_product(algebra: str, a: tuple, b: tuple) -> tuple:
 
 
 def multiply(x: Element, y: Element, basis=None) -> Element:
+    """x y in `basis`, else in x's basis (or the canonical one).  The loop
+    stays inline: through `linear`, a generator line per term of x,
+    perfbench's sym-bridge Littlewood-Richardson ops ran 8-14 % slower."""
     if x.algebra != y.algebra:
         raise ValueError("cannot multiply NSym and QSym elements")
     algebra = x.algebra
@@ -603,34 +603,28 @@ class TensorElement(_Combination):
     def _json_key(key):
         return {"left": _index_json(key[0]), "right": _index_json(key[1])}
 
-    def _canonical(self):
-        return self._space, self.canonical_dict()
-
     def _product(self, other):
         """Componentwise product: (a (x) b)(c (x) d) = ac (x) bd."""
         if other._space != self._space:
             raise ValueError(f"cannot multiply {self._space} and {other._space} tensors")
-        out = {}
-        left = self.canonical_dict()
-        right = other.canonical_dict()
-        for (a1, a2), c1 in left.items():
-            for (b1, b2), c2 in right.items():
-                for g1, v1 in _canonical_product(self._space, a1, b1):
-                    for g2, v2 in _canonical_product(self._space, a2, b2):
-                        k = (g1, g2)
-                        out[k] = out.get(k, 0) + c1 * c2 * v1 * v2
-        canonical = CANONICAL[self._space]
-        return TensorElement._of(
-            self._space,
-            {((canonical, g1), (canonical, g2)): v for (g1, g2), v in out.items()},
-        )
+        algebra, canonical = self._space, CANONICAL[self._space]
+        right = other.canonical_dict().items()
+
+        def line(key):  # the products of one left term with every right one
+            a1, a2 = key
+            for (b1, b2), c2 in right:
+                for g1, v1 in _canonical_product(algebra, a1, b1):
+                    for g2, v2 in _canonical_product(algebra, a2, b2):
+                        yield ((canonical, g1), (canonical, g2)), c2 * v1 * v2
+
+        return TensorElement._of(algebra, linear(self.canonical_dict(), line))
 
     def canonical_dict(self) -> dict:
         """Coefficients with both legs canonical: {(compL, compR): int}."""
         canonical = CANONICAL[self._space]
         for (left, _), (right, _) in self._terms:
             if left != canonical or right != canonical:
-                line = partial(_expanded, canonical)
+                line = lambda key: _expand(*key)  # noqa: E731  (both legs read it)
                 return _leg(_leg(self._terms, 0, line), 1, line)
         return {(l, r): c for ((_, l), (_, r)), c in self._terms.items()}
 
@@ -653,7 +647,8 @@ class TensorElement(_Combination):
 
 def _leg(terms: dict, side: int, line) -> dict:
     """`linear` on leg `side` (0 left, 1 right) of every key, kept inline:
-    through the kernel, rebuilding each key made coproducts 1.5x slower."""
+    through the kernel, a generator line rebuilding each key, perfbench's
+    warm-hopf coproduct ops ran 15-27 % slower (1.5x when first measured)."""
     out = {}
     for key, coeff in terms.items():
         for leg, v in line(key[side]):
@@ -673,17 +668,19 @@ def tensor_term(basis_l: str, comp_l, basis_r: str, comp_r, coeff: int = 1) -> T
 
 @lru_cache(maxsize=None)
 def _coproduct_H(comp: tuple) -> tuple:
-    """Deltas of H_comp: each part splits as i + (part - i)."""
+    """Deltas of H_comp: each part splits as i + (part - i), and `split`
+    appends the two sides to the legs (l, r) of each delta of the parts
+    before it, an empty side left out."""
+    def split(part, legs):
+        l, r = legs
+        yield (l, r + (part,)), 1
+        for i in range(1, part):
+            yield (l + (i,), r + (part - i,)), 1
+        yield (l + (part,), r), 1
+
     pieces = {((), ()): 1}
     for part in comp:
-        nxt = {}
-        for (l, r), c in pieces.items():
-            for i in range(part + 1):
-                left = l + (i,) if i else l
-                right = r + (part - i,) if part - i else r
-                k = (left, right)
-                nxt[k] = nxt.get(k, 0) + c
-        pieces = nxt
+        pieces = linear(pieces, partial(split, part))
     return tuple(sorted(pieces.items()))
 
 
@@ -733,19 +730,16 @@ def _peel(h: Element, f: Element, front: bool, what: str) -> Element:
     of f, in canonical terms."""
     if h.algebra != NSYM or f.algebra != QSYM:
         raise ValueError(f"{what}() takes an NSym element then a QSym element")
-    fc = f.canonical_dict()
-    out = {}
-    for beta, hc in h.canonical_dict().items():
+    fc = f.canonical_dict().items()
+
+    def line(beta):  # M_rest for each M_delta of f with delta = beta rest (rest beta)
         k = len(beta)
-        for delta, c in fc.items():
-            if len(delta) < k:
-                continue
-            cut = k if front else len(delta) - k
-            peeled, rest = (delta[:cut], delta[cut:]) if front else (delta[cut:], delta[:cut])
-            if peeled == beta:
-                key = ("M", rest)
-                out[key] = out.get(key, 0) + hc * c
-    return Element._of(QSYM, out)
+        for delta, c in fc:
+            cut = k if front else len(delta) - k  # no delta shorter than beta matches
+            if (delta[:cut] if front else delta[cut:]) == beta:
+                yield ("M", delta[cut:] if front else delta[:cut]), c
+
+    return Element._of(QSYM, linear(h.canonical_dict(), line))
 
 
 def perp(h: Element, f: Element) -> Element:

@@ -330,7 +330,7 @@ class SymElement(core._Combination):
         return {"index": list(lam)}
 
     def _canonical(self):
-        return self.to_basis("m")._terms
+        return self.to_basis("s")._terms
 
     def _product(self, other):
         """The product, through QSym (Sym is a subring).  It is symmetric, and

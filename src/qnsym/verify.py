@@ -3,8 +3,9 @@
 Each checker is a generator over every instance of an identity up to a
 degree bound: an exhaustive, deterministic sweep, with nothing drawn at
 random.  It yields one outcome per case, None where the identity held and
-a reproducer string where it failed.  `verify` gathers the outcomes into a
-VerifyReport: how many cases ran, and the reproducers in order (an empty
+a reproducer string where it failed.  `verify` refuses a degree past the
+dense-matrix budget before any sweep starts, then gathers the outcomes into
+a VerifyReport: how many cases ran, and the reproducers in order (an empty
 tuple means the identity held everywhere).
 """
 
@@ -375,7 +376,7 @@ def verify(identity: str, max_degree=None) -> VerifyReport:
         raise KeyError(f"unknown identity {identity!r}; "
                        f"choose from {', '.join(sorted(IDENTITIES))}")
     checker, default_degree = IDENTITIES[identity]
-    degree = default_degree if max_degree is None else max_degree
+    degree = comps.check_dense_degree(default_degree if max_degree is None else max_degree)
     start = time.perf_counter()
     outcomes = list(checker(degree))
     seconds = time.perf_counter() - start

@@ -313,6 +313,48 @@ def test_dense_degree_budget_fails_fast_with_exit_1(capsys):
                             "whole-degree matrices stop at degree 12\n")
 
 
+def test_verify_refuses_a_degree_past_the_dense_budget_before_it_sweeps(capsys, monkeypatch):
+    import time
+
+    from qnsym import verify
+
+    start = time.perf_counter()
+    assert cli.run(["verify", "--identity", "duality", "--max-degree", "13"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: degree 13 is past the dense-matrix budget: "
+                            "whole-degree matrices stop at degree 12\n")
+
+    def sweeps(max_degree):
+        raise AssertionError("the checker ran")
+
+    monkeypatch.setitem(verify.IDENTITIES, "duality", (sweeps, 13))
+    with pytest.raises(ValueError, match="past the dense-matrix budget"):
+        verify.verify("duality")
+    with pytest.raises(ValueError, match="past the dense-matrix budget"):
+        verify.verify("duality", max_degree=20)
+
+
+@pytest.mark.parametrize("argv", [["expand", "sh[3,2]"], ["coproduct", "sh[2,1]"],
+                                  ["chi", "--basis", "s", "H[2,1] - H[1,2]"],
+                                  ["schur-detect", "M[2,1] + M[1,2]"]])
+def test_the_cli_builds_only_the_form_it_prints(capsys, monkeypatch, argv):
+    outputs = {}
+    for form in ([], ["--json"]):
+        assert cli.run(argv[:1] + form + argv[1:]) == 0
+        outputs[bool(form)] = capsys.readouterr()
+
+    def refuse(self, *args):
+        raise AssertionError("built an output that is not printed")
+
+    for form, unbuilt in (([], "to_json_dict"), (["--json"], "__str__")):
+        with monkeypatch.context() as patched:
+            patched.setattr(core._Combination, unbuilt, refuse)
+            assert cli.run(argv[:1] + form + argv[1:]) == 0
+            assert capsys.readouterr() == outputs[bool(form)], (form, unbuilt)
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "E[40]"],
     ["involute", "psi", "H[40]", "--basis", "H"],

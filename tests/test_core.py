@@ -118,6 +118,15 @@ def test_product_lands_in_left_factor_basis():
     out = multiply(term("F", (1,)), term("F", (1,)))
     assert out.support_basis() == "F"
     assert out == term("F", (1, 1)) + term("F", (2,))
+    for x, y in ((term("F", (1,)), term("M", (2,))), (term("sh", (2, 1)), term("E", (1,))),
+                 (term("R", (1, 2)) - term("H", (3,)), term("rsh", (2,)))):
+        product = x * y
+        assert product.terms == multiply(x, y).terms and product == multiply(x, y)
+        assert product.support_basis() == (x.support_basis() or core.CANONICAL[x.algebra])
+    with pytest.raises(ValueError):
+        term("H", (1,)) * term("M", (1,))
+    with pytest.raises(ValueError):
+        term("F", (1,)) * term("sh", (1,))
 
 
 def test_unit_and_zero():

@@ -675,6 +675,25 @@ def test_sym_element_basics():
         sl.SymElement("p", {})
 
 
+def test_sym_elements_compare_through_s(monkeypatch):
+    """Two s-expansions compare without reading a Kostka line, and each
+    function's s-, m- and h-forms stay equal to each other."""
+    forms = [{basis: sl.SymElement("s", {lam: 1}).to_basis(basis) for basis in ("s", "m", "h")}
+             for n in range(5) for lam in comps.partitions(n)]
+    for one, other in zip(forms, forms[1:] + forms[:1]):
+        for a in one.values():
+            assert all(a == b for b in one.values()), str(a)
+            assert all(a != b for b in other.values()), (str(a), str(other["s"]))
+
+    def refuse(self, key):
+        raise AssertionError("an s-to-s comparison read a matrix line")
+
+    monkeypatch.setattr(core.MatrixLines, "__call__", refuse)
+    x = sl.SymElement("s", {(2, 1): 2, (3,): -1})
+    assert x == sl.SymElement("s", {(3,): -1, (2, 1): 2}) and x != 2 * x
+    assert x - x == sl.SymElement("s") and forms[3]["s"] == sl.SymElement("s", {(2,): 1})
+
+
 def test_m_to_s_roundtrip():
     for n in range(1, 7):
         for lam in comps.partitions(n):
@@ -1429,9 +1448,59 @@ def _loop_apply(lines, coeffs):
     return {k: c for k, c in out.items() if c}
 
 
+def _loop_peel(h, f, front):
+    """The earlier `core._peel`, its own accumulating loop."""
+    fc = f.canonical_dict()
+    out = {}
+    for beta, hc in h.canonical_dict().items():
+        k = len(beta)
+        for delta, c in fc.items():
+            if len(delta) < k:
+                continue
+            cut = k if front else len(delta) - k
+            peeled, rest = (delta[:cut], delta[cut:]) if front else (delta[cut:], delta[:cut])
+            if peeled == beta:
+                key = ("M", rest)
+                out[key] = out.get(key, 0) + hc * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _loop_tensor_product(x, y):
+    """The earlier `TensorElement._product`, its own accumulating loop."""
+    out = {}
+    for (a1, a2), c1 in x.canonical_dict().items():
+        for (b1, b2), c2 in y.canonical_dict().items():
+            for g1, v1 in core._canonical_product(x.algebra, a1, b1):
+                for g2, v2 in core._canonical_product(x.algebra, a2, b2):
+                    k = (g1, g2)
+                    out[k] = out.get(k, 0) + c1 * c2 * v1 * v2
+    canonical = core.CANONICAL[x.algebra]
+    return {((canonical, g1), (canonical, g2)): v for (g1, g2), v in out.items() if v}
+
+
+def _loop_coproduct_H(comp):
+    """The earlier `core._coproduct_H`, its own accumulating loop."""
+    pieces = {((), ()): 1}
+    for part in comp:
+        nxt = {}
+        for (l, r), c in pieces.items():
+            for i in range(part + 1):
+                left = l + (i,) if i else l
+                right = r + (part - i,) if part - i else r
+                k = (left, right)
+                nxt[k] = nxt.get(k, 0) + c
+        pieces = nxt
+    return tuple(sorted(pieces.items()))
+
+
 def _cancelling():
     """R[1,1] + R[2] - H[1,1], which is 0 in three nonzero terms."""
     return term("R", (1, 1)) + term("R", (2,)) - term("H", (1, 1))
+
+
+def _cancelling_qsym():
+    """F[2] - F[1,1] - M[2], which is 0 in three nonzero terms."""
+    return term("F", (2,)) - term("F", (1, 1)) - term("M", (2,))
 
 
 def test_the_linear_kernel_matches_the_loops_it_replaced():
@@ -1443,7 +1512,12 @@ def test_the_linear_kernel_matches_the_loops_it_replaced():
     Beside them, the routes that stopped converting through the canonical
     basis: products (into every basis, through degree 3), and the
     involutions and the antipode of every basis element through degree 6
-    into every basis, against the reindex-then-convert route."""
+    into every basis, against the reindex-then-convert route.  Last, the
+    bilinear maps that handed their loops to `linear`: perp and rperp of
+    every H, R and sh term through degree 3 against every M, F and sh* term
+    through degree 6 (and sums that cancel), the product of every pair of
+    two-leg tensor terms with legs through degree 2, over H/E and over M/F,
+    and the H coproduct of every composition through degree 8."""
     elements = [term(tok, a) for tok in core.bases() for a in comps_upto(5)] + [_cancelling()]
     factors = {alg: [term(b, (1, 2)) - 2 * term(b, (1,)) for b in core.bases(alg)]
                + [_cancelling() if alg == core.NSYM else term("M", (2,)) - term("F", (1, 1))]
@@ -1486,6 +1560,20 @@ def test_the_linear_kernel_matches_the_loops_it_replaced():
             for column in (False, True):
                 lines = core.MatrixLines(matrix, comps.partitions, column)
                 assert lines.apply(coeffs) == _loop_apply(lines, coeffs), (n, column)
+    hs = [term(b, a) for b in ("H", "R", "sh") for a in comps_upto(3)] + [_cancelling()]
+    fs = [term(b, a) for b in ("M", "F", "sh*") for a in comps_upto(6)] + [_cancelling_qsym()]
+    for h in hs:
+        for f in fs:
+            for peel, front in ((core.perp, True), (core.rperp, False)):
+                assert dict(peel(h, f).terms) == _loop_peel(h, f, front), (str(h), str(f), front)
+    for legs in (("H", "E"), ("M", "F")):
+        tensors = [core.tensor_term(b1, a1, b2, a2) for b1 in legs for a1 in comps_upto(2)
+                   for b2 in legs for a2 in comps_upto(2)]
+        for x in tensors:
+            for y in tensors:
+                assert dict((x * y).terms) == _loop_tensor_product(x, y), (str(x), str(y))
+    for a in comps_upto(8):
+        assert core._coproduct_H(a) == _loop_coproduct_H(a), a
 
 
 def test_the_linear_kernel_drops_what_cancels():
