@@ -213,11 +213,9 @@ def cmd_struct_coeffs(args):
 def cmd_chi(args):
     x = parse_element(args.element)
     require_algebra(x, core.NSYM, "chi")
-    image = sl.forgetful_chi(x)
-    if args.basis is not None:
-        if args.basis not in ("m", "h", "s"):
-            raise CLIError(2, f"unknown Sym basis {args.basis!r}")
-        image = image.to_basis(args.basis)
+    if args.basis not in (None, "m", "h", "s"):
+        raise CLIError(2, f"unknown Sym basis {args.basis!r}")
+    image = sl.forgetful_chi(x).to_basis(args.basis or "h")
     emit(args, map(str, [image]), image.to_json_dict)
 
 

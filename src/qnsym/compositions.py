@@ -8,10 +8,8 @@ subsets of {1, ..., n-1} via proper partial sums, and most of the maps here
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
 
 
 def check_composition(alpha) -> tuple:
@@ -28,6 +26,13 @@ def check_composition(alpha) -> tuple:
 # they refuse a higher degree before computing anything.
 MAX_DENSE_DEGREE = 12
 
+# The Sym bridge's m <-> s maps read rows of the whole Kostka matrix and its
+# inverse over the p(n) partitions of n (the two take 1.4 s and 60 MB to
+# build at degree 20, 3.4 s and 132 MB at 22, on a 2-vCPU VM), so past this
+# degree they are refused before either is built.  h <-> s reads one walked
+# line per term instead, at any degree.
+MAX_KOSTKA_DEGREE = 20
+
 
 # The budget of every listing or walk that can grow exponentially: refinements
 # and coarsenings of one composition (all of degree <= 17), Jacobi-Trudi words,
@@ -39,11 +44,14 @@ MAX_REFINEMENTS = 2 ** 16
 MAX_TABLEAU_STEPS = 2 ** 18
 
 
-def check_dense_degree(n: int) -> int:
-    """Return n, insisting a whole-degree matrix of degree n is in budget."""
-    if n > MAX_DENSE_DEGREE:
-        raise ValueError(f"degree {n} is past the dense-matrix budget: whole-degree "
-                         f"matrices stop at degree {MAX_DENSE_DEGREE}")
+def check_dense_degree(n: int, top: int = MAX_DENSE_DEGREE,
+                       what: str = "whole-degree matrices") -> int:
+    """Return n, insisting a whole-degree matrix of degree n is in budget:
+    at most `top`, MAX_DENSE_DEGREE or, for the Kostka matrices,
+    MAX_KOSTKA_DEGREE."""
+    if n > top:
+        raise ValueError(f"degree {n} is past the dense-matrix budget: {what} "
+                         f"stop at degree {top}")
     return n
 
 
@@ -210,9 +218,12 @@ def rearrangements(lam):
 
 def rearrangement_count(lam) -> int:
     """Number of distinct rearrangements of lam: the multinomial
-    len(lam)! / prod(m! for each part's multiplicity m)."""
-    count, placed = 1, 0
-    for m in Counter(lam).values():
-        placed += m
-        count *= comb(placed, m)
+    len(lam)! / prod(m! for each part's multiplicity m), built over the
+    sorted parts, where the multiplicities are runs; each prefix's count
+    is an integer, so every division is exact."""
+    parts = sorted(lam)
+    count = run = 1
+    for i in range(1, len(parts)):
+        run = run + 1 if parts[i] == parts[i - 1] else 1
+        count = count * (i + 1) // run
     return count

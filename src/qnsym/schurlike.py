@@ -335,23 +335,31 @@ class SymElement(core._Combination):
     def _product(self, other):
         """The product, through QSym (Sym is a subring).  It is symmetric, and
         m_lam sums M over lam's rearrangements, so its m_lam coefficient is its
-        M_lam one: read at the partitions of each degree present, not checked."""
+        M_lam one: read at the partitions of each degree present, not checked.
+        Its top degree is refused past the Kostka budget before QSym multiplies."""
+        if self._terms and other._terms:
+            _kostka_degree(self._top_degree() + other._top_degree())
         md = multiply(self.to_qsym(), other.to_qsym()).canonical_dict()
         degrees = {sum(alpha) for alpha in md}
         m = {lam: md[lam] for n in degrees for lam in comps.partitions(n) if lam in md}
         return SymElement._of("m", m).to_basis("s")
 
+    def _top_degree(self) -> int:
+        return max(map(sum, self._terms), default=0)
+
     def to_basis(self, target: str) -> "SymElement":
-        """Convert through s: source -> s -> target."""
+        """Convert through s: source -> s -> target, one memoised line a term
+        (`_sym_line`); m <-> s is refused past the Kostka budget first."""
         if target == self._space:
             return self
         if target not in ("m", "h", "s"):
             raise ValueError(f"no conversion from {self._space} to {target}")
+        if "m" in (self._space, target):
+            _kostka_degree(self._top_degree())
         coeffs = self._terms
-        if self._space != "s":
-            coeffs = _TO_S[self._space](coeffs)
-        if target != "s":
-            coeffs = _FROM_S[target](coeffs)
+        for source, to in ((self._space, "s"), ("s", target)):
+            if source != to:
+                coeffs = _sym_map(source, to, coeffs)
         return SymElement._of(target, coeffs)
 
     def to_qsym(self) -> Element:
@@ -362,9 +370,15 @@ class SymElement(core._Combination):
                                   for alpha in comps.rearrangements(lam)})
 
 
+def _kostka_degree(n: int) -> int:
+    """Return n, insisting the Kostka matrices of degree n are in budget."""
+    return comps.check_dense_degree(n, comps.MAX_KOSTKA_DEGREE, "Kostka matrices (Sym m <-> s)")
+
+
 @lru_cache(maxsize=None)
 def kostka_matrix(n: int) -> tuple:
-    """K[i][j] = #SSYT of shape lambda_i and weight mu_j over partitions(n).
+    """K[i][j] = #SSYT of shape lambda_i and weight mu_j over partitions(n),
+    refused past comps.MAX_KOSTKA_DEGREE.
 
     On a partition shape an SSYT is a shin tableau, its entries up to each
     value fill a partition, and between two partitions a shin strip is a
@@ -372,23 +386,41 @@ def kostka_matrix(n: int) -> tuple:
     on partition shapes (`tab.chain_matrix`, which also builds the shin K);
     `tab.count_matrix`, which backtracks over fillings, is the oracle.
     """
-    return tab.chain_matrix(comps.partitions(n), comps.is_partition)
+    return tab.chain_matrix(comps.partitions(_kostka_degree(n)), comps.is_partition)
 
 
 @lru_cache(maxsize=None)
 def _kostka_inverse(n: int) -> tuple:
     """The inverse Kostka matrix over partitions(n): column lam is s_lam in
-    h, by Pieri elimination kept on partitions."""
-    return _eliminated(comps.partitions(n), True)
+    h, by Pieri elimination kept on partitions; refused past
+    comps.MAX_KOSTKA_DEGREE."""
+    return _eliminated(comps.partitions(_kostka_degree(n)), True)
 
 
-# s -> m and m -> s apply K and K^-1 by rows, h -> s and s -> h by columns
-_s_to_m = core.MatrixLines(kostka_matrix, comps.partitions, False).apply
-_h_to_s = core.MatrixLines(kostka_matrix, comps.partitions, True).apply
-_m_to_s = core.MatrixLines(_kostka_inverse, comps.partitions, False).apply
-_s_to_h = core.MatrixLines(_kostka_inverse, comps.partitions, True).apply
-_TO_S = {"m": _m_to_s, "h": _h_to_s}
-_FROM_S = {"m": _s_to_m, "h": _s_to_h}
+# One line per partition for each Sym map: h -> s is one column of K, the
+# strip chains of rho kept on partitions, and s -> h one column of K^-1, a
+# Pieri elimination, each walked on its own at any degree; s -> m and m -> s
+# are rows of K and K^-1, which stay dense (and so in budget).  The matrices
+# are looked up per call, so that either can be replaced.
+_SYM_LINES = {
+    ("h", "s"): lambda rho: next(tab.strip_chains((), [rho], comps.is_partition))[1].items(),
+    ("s", "h"): lambda lam: _pieri_elimination(lam, True, {}),
+    ("s", "m"): lambda lam: core.MatrixLines(kostka_matrix, comps.partitions, False)(lam).items(),
+    ("m", "s"): lambda lam: core.MatrixLines(_kostka_inverse, comps.partitions, False)(lam).items(),
+}
+
+
+@lru_cache(maxsize=None)
+def _sym_line(source: str, target: str, lam: tuple) -> tuple:
+    """source_lam in target, sorted: memoised as `core._expand` is."""
+    return tuple(sorted(_SYM_LINES[source, target](lam)))
+
+
+def _sym_map(source: str, target: str, coeffs: dict) -> dict:
+    return core.linear(coeffs, partial(_sym_line, source, target))
+
+
+_h_to_s, _s_to_h, _s_to_m, _m_to_s = (partial(_sym_map, *pair) for pair in _SYM_LINES)
 
 
 def forgetful_chi(x: Element) -> SymElement:

@@ -237,6 +237,7 @@ def test_usage_errors_exit_2(capsys):
      "--bottom needs --inner"),
     (["tableaux", "count", "--family", "shin", "2,1", "--bottom", "--standard"],
      "--bottom needs --inner"),
+    (["chi", "--basis", "e", "E[20]"], "unknown Sym basis 'e'"),
 ])
 def test_every_usage_error_branch_exits_2_with_one_error_line(capsys, argv, message):
     assert cli.run(argv) == 2
@@ -311,6 +312,29 @@ def test_dense_degree_budget_fails_fast_with_exit_1(capsys):
     assert captured.out == ""
     assert captured.err == ("error: degree 30 is past the dense-matrix budget: "
                             "whole-degree matrices stop at degree 12\n")
+
+
+@pytest.mark.parametrize("argv", [["chi", "--basis", "m", "H[30]"],
+                                  ["chi", "--basis", "m", "H[1,20]"],
+                                  ["chi", "--basis", "m", "H[%s]" % ",".join(["1"] * 30)],
+                                  ["schur-detect", "M[30]"]])
+def test_m_and_s_past_the_kostka_budget_fail_fast_with_exit_1(capsys, argv):
+    import time
+
+    start = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("past the dense-matrix budget: Kostka matrices "
+                                 "(Sym m <-> s) stop at degree 20\n")
+
+
+def test_h_and_s_answer_past_the_kostka_budget(capsys):
+    assert cli.run(["chi", "--basis", "s", "H[24]"]) == 0
+    assert cli.run(["chi", "--basis", "s", "H[30]"]) == 0
+    assert capsys.readouterr() == ("s[24]\ns[30]\n", "")
 
 
 def test_verify_refuses_a_degree_past_the_dense_budget_before_it_sweeps(capsys, monkeypatch):

@@ -1832,6 +1832,7 @@ def test_sym_bridge_enumerates_no_permutation_and_no_tableau(monkeypatch):
     monkeypatch.setattr(sl, "permutations", refuse, raising=False)
     monkeypatch.setattr(tab, "_backtrack", refuse)
     sl.kostka_matrix.cache_clear()
+    sl._sym_line.cache_clear()
     try:
         for n in range(1, 10):
             for lam in comps.partitions(n):
@@ -1852,6 +1853,7 @@ def test_sym_bridge_enumerates_no_permutation_and_no_tableau(monkeypatch):
     finally:
         monkeypatch.undo()
         sl.kostka_matrix.cache_clear()
+        sl._sym_line.cache_clear()
 
 
 def _s_to_h_by_fractions(coeffs):
@@ -1955,8 +1957,8 @@ def test_production_inverts_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix was inverted in production")
 
-    caches = (sl._kappa_inverse, sl._kostka_inverse, core._expand, core._unexpand,
-              core._across, core.transition_matrix)
+    caches = (sl._kappa_inverse, sl._kostka_inverse, sl._sym_line, core._expand,
+              core._unexpand, core._across, core.transition_matrix)
     monkeypatch.setattr(core, "exact_inverse", refuse)
     for cached in caches:
         cached.cache_clear()
@@ -2004,6 +2006,7 @@ def test_sym_inverse_reads_no_kostka_matrix(monkeypatch):
             for n in range(10) for column in (False, True)}
     monkeypatch.setattr(sl, "kostka_matrix", refuse)
     sl._kostka_inverse.cache_clear()
+    sl._sym_line.cache_clear()
     try:
         for (n, column), lines in want.items():
             solve = sl._s_to_h if column else sl._m_to_s
@@ -2012,6 +2015,7 @@ def test_sym_inverse_reads_no_kostka_matrix(monkeypatch):
     finally:
         monkeypatch.undo()
         sl._kostka_inverse.cache_clear()
+        sl._sym_line.cache_clear()
 
 
 def test_sym_elimination_stays_on_partitions(monkeypatch):
@@ -2033,3 +2037,62 @@ def test_sym_elimination_stays_on_partitions(monkeypatch):
         monkeypatch.undo()
         sl._kostka_inverse.cache_clear()
     assert seen and all(comps.is_partition(alpha) for alpha in seen), sorted(seen)
+
+
+def test_sym_lines_match_the_dense_kostka_lines():
+    """Each memoised line of the Sym bridge (h -> s and s -> h walked on their
+    own, s -> m and m -> s read off rows) is the dense `MatrixLines` line of
+    the Kostka matrix or its inverse, for every partition through degree 14."""
+    dense = {("h", "s"): (sl.kostka_matrix, True), ("s", "h"): (sl._kostka_inverse, True),
+             ("s", "m"): (sl.kostka_matrix, False), ("m", "s"): (sl._kostka_inverse, False)}
+    sl._sym_line.cache_clear()
+    try:
+        for (source, target), (matrix, column) in dense.items():
+            lines = core.MatrixLines(matrix, comps.partitions, column)
+            for n in range(15):
+                for lam in comps.partitions(n):
+                    want = tuple(sorted(lines(lam).items()))
+                    assert sl._sym_line(source, target, lam) == want, (source, target, lam)
+    finally:
+        sl._sym_line.cache_clear()
+
+
+def test_h_and_s_convert_past_the_kostka_budget_without_a_matrix(monkeypatch):
+    top = comps.MAX_KOSTKA_DEGREE
+
+    def in_budget(matrix):
+        def read(n):
+            assert n <= top, f"{matrix.__name__}({n}) was asked past the budget"
+            return matrix(n)
+        return read
+
+    for name in ("kostka_matrix", "_kostka_inverse"):
+        monkeypatch.setattr(sl, name, in_budget(getattr(sl, name)))
+    sl._sym_line.cache_clear()
+    try:
+        h24 = sl.forgetful_chi(term("H", (24,)))
+        assert h24.to_basis("s") == sl.SymElement("s", {(24,): 1})
+        assert sl.SymElement("s", {(12, 12): 1}).to_basis("h").coeffs == {
+            (12, 12): 1, (13, 11): -1}
+        # h_(12,12) in s: one Kostka column, s_(12+k, 12-k) for k = 0..12
+        assert sl.SymElement("h", {(12, 12): 1}).to_basis("s").coeffs == {
+            (12 + k, 12 - k) if k < 12 else (24,): 1 for k in range(13)}
+    finally:
+        monkeypatch.undo()
+        sl._sym_line.cache_clear()
+    # m <-> s reads whole matrices, so past the budget it is refused
+    for source, target in (("s", "m"), ("m", "s"), ("m", "h"), ("h", "m")):
+        with pytest.raises(ValueError, match="past the dense-matrix budget"):
+            sl.SymElement(source, {(top - 9, 10): 1}).to_basis(target)
+
+
+def test_a_sym_product_past_the_kostka_budget_is_refused_before_qsym_multiplies(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QSym multiplied past the budget")
+
+    monkeypatch.setattr(sl, "multiply", refuse)
+    top = comps.MAX_KOSTKA_DEGREE
+    with pytest.raises(ValueError, match=f"Kostka matrices .* stop at degree {top}"):
+        sl.littlewood_richardson((top,), (1,))
+    with pytest.raises(ValueError, match="past the dense-matrix budget"):
+        sl.SymElement("h", {(1,): 1, (top - 1,): 2}) * sl.SymElement("m", {(2,): 1})
